@@ -4,9 +4,8 @@ Text: token + position embeddings through pre-norm attention blocks,
 pooled at the EOS position.  Image: a two-layer perceptron.  Both end in
 L2 normalization, so every downstream similarity is a cosine in [-1, 1].
 
-Attention blocks double as the reconstruction primitive: built with
-cross=True they take externally projected key/value rows instead of
-projecting their own.
+The pre-norm feed-forward sublayer is its own piece so the
+reconstruction head's reference stages can reuse it.
 """
 from __future__ import annotations
 
@@ -88,61 +87,60 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return T.reshape(T.permute(out, (0, 2, 1, 3)), (B, Lq, d))
 
 
+class FeedForward:
+    """Pre-norm residual tanh feed-forward: x + W2 tanh(W1 LN(x))."""
+
+    def __init__(self, d: int, rng: np.random.Generator, name: str):
+        P = T.parameter
+        hidden = _FFN_MULT * d
+        self.ln_g = P(np.ones(d), f"{name}.ln.g")
+        self.ln_b = P(np.zeros(d), f"{name}.ln.b")
+        self.w1 = P(linear_init(rng, d, hidden), f"{name}.w1")
+        self.b1 = P(np.zeros(hidden), f"{name}.b1")
+        self.w2 = P(linear_init(rng, hidden, d), f"{name}.w2")
+        self.b2 = P(np.zeros(d), f"{name}.b2")
+
+    def parameters(self) -> list[Tensor]:
+        return [self.ln_g, self.ln_b, self.w1, self.b1, self.w2, self.b2]
+
+    def __call__(self, x: Tensor) -> Tensor:
+        h = T.layer_norm(x, self.ln_g, self.ln_b)
+        return T.add(x, linear(T.tanh(linear(h, self.w1, self.b1)), self.w2, self.b2))
+
+
 class AttentionBlock:
-    """Pre-norm residual block: attention then a tanh feed-forward."""
+    """Pre-norm residual block: self-attention then a tanh feed-forward.
+
+    Keys carry no bias: adding q.b to a whole softmax row leaves the
+    attention weights unchanged, so such a bias never gets a gradient.
+    """
 
     def __init__(self, d: int, n_heads: int, rng: np.random.Generator,
-                 cross: bool = False, name: str = "block"):
-        self.d = d
+                 name: str = "block"):
         self.n_heads = n_heads
-        self.cross = cross
-        self.name = name
         P = T.parameter
         self.ln1_g = P(np.ones(d), f"{name}.ln1.g")
         self.ln1_b = P(np.zeros(d), f"{name}.ln1.b")
         self.wq = P(linear_init(rng, d, d), f"{name}.wq")
         self.bq = P(np.zeros(d), f"{name}.bq")
-        if not cross:
-            self.wk = P(linear_init(rng, d, d), f"{name}.wk")
-            self.bk = P(np.zeros(d), f"{name}.bk")
-            self.wv = P(linear_init(rng, d, d), f"{name}.wv")
-            self.bv = P(np.zeros(d), f"{name}.bv")
+        self.wk = P(linear_init(rng, d, d), f"{name}.wk")
+        self.wv = P(linear_init(rng, d, d), f"{name}.wv")
+        self.bv = P(np.zeros(d), f"{name}.bv")
         self.wo = P(linear_init(rng, d, d), f"{name}.wo")
         self.bo = P(np.zeros(d), f"{name}.bo")
-        self.ln2_g = P(np.ones(d), f"{name}.ln2.g")
-        self.ln2_b = P(np.zeros(d), f"{name}.ln2.b")
-        hidden = _FFN_MULT * d
-        self.w1 = P(linear_init(rng, d, hidden), f"{name}.ffn.w1")
-        self.b1 = P(np.zeros(hidden), f"{name}.ffn.b1")
-        self.w2 = P(linear_init(rng, hidden, d), f"{name}.ffn.w2")
-        self.b2 = P(np.zeros(d), f"{name}.ffn.b2")
+        self.ffn = FeedForward(d, rng, f"{name}.ffn")
 
     def parameters(self) -> list[Tensor]:
-        names = ["ln1_g", "ln1_b", "wq", "bq"]
-        if not self.cross:
-            names += ["wk", "bk", "wv", "bv"]
-        names += ["wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2"]
-        return [getattr(self, n) for n in names]
+        return [self.ln1_g, self.ln1_b, self.wq, self.bq, self.wk, self.wv,
+                self.bv, self.wo, self.bo] + self.ffn.parameters()
 
-    def __call__(self, x: Tensor, keys: Tensor | None = None,
-                 values: Tensor | None = None,
-                 key_mask: np.ndarray | None = None) -> Tensor:
-        if self.cross != (keys is not None):
-            mode = "cross" if self.cross else "self"
-            raise T.ShapeError(f"{self.name}: {mode}-attention block called the other way")
-        if (keys is None) != (values is None):
-            raise T.ShapeError(f"{self.name}: keys and values must come together")
+    def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         h = T.layer_norm(x, self.ln1_g, self.ln1_b)
         q = linear(h, self.wq, self.bq)
-        if self.cross:
-            k, v = keys, values
-        else:
-            k = linear(h, self.wk, self.bk)
-            v = linear(h, self.wv, self.bv)
+        k = T.matmul(h, self.wk)
+        v = linear(h, self.wv, self.bv)
         a = scaled_dot_product_attention(q, k, v, self.n_heads, key_mask)
-        x = T.add(x, linear(a, self.wo, self.bo))
-        h2 = T.layer_norm(x, self.ln2_g, self.ln2_b)
-        return T.add(x, linear(T.tanh(linear(h2, self.w1, self.b1)), self.w2, self.b2))
+        return self.ffn(T.add(x, linear(a, self.wo, self.bo)))
 
 
 class TextEncoder:
@@ -237,10 +235,8 @@ class ImageEncoder:
 
 @dataclass
 class EncodedBatch:
-    """Both modalities of one training batch, plus what reconstruction
-    needs.  Global rows are unit-norm by construction."""
+    """Global features of both modalities of one training batch.  Rows
+    are unit-norm by construction."""
     text_global: Tensor        # (B, d)
     image_global: Tensor       # (B, d)
-    text_tokens: Tensor        # (B, L, d)
-    key_mask: np.ndarray       # (B, L) bool
     labels: np.ndarray         # (B,) identity ids

@@ -86,11 +86,6 @@ def _check_permute_reshape(rng):
                                 T.reshape(T.permute(a, (1, 0, 2)), (6, 4)))), [a])
 
 
-def _check_exp(rng):
-    a = _p(rng, 3, 3)
-    return finite_difference_check(lambda: T.sum_all(T.exp(a)), [a])
-
-
 def _check_log(rng):
     a = T.parameter(np.abs(rng.normal(size=(3, 3))) + 0.5)
     return finite_difference_check(lambda: T.sum_all(T.log(a)), [a])
@@ -110,11 +105,6 @@ def _check_row_softmax(rng):
     a = _p(rng, 3, 6)
     w = _p(rng, 3, 6)
     return finite_difference_check(lambda: T.sum_all(T.mul(T.row_softmax(a), w)), [a, w])
-
-
-def _check_row_logsumexp(rng):
-    a = _p(rng, 4, 5)
-    return finite_difference_check(lambda: T.sum_all(T.row_logsumexp(a)), [a])
 
 
 def _check_layer_norm(rng):
@@ -138,8 +128,8 @@ def _check_embedding(rng):
 def _check_concat_mean(rng):
     a, b = _p(rng, 2, 4), _p(rng, 3, 4)
     return finite_difference_check(
-        lambda: T.mean_all(T.mul(T.concat_rows([a, b]), T.concat_rows([a, b])))
-        + T.sum_all(T.mean_rows(a)), [a, b])
+        lambda: T.mean_all(T.mul(T.concat_rows([a, b]), T.concat_rows([a, b]))),
+        [a, b])
 
 
 def _check_takes(rng):
@@ -320,8 +310,9 @@ def _check_reconstructor(rng):
         out = recon(states, refs, rows, cols)
         return rec_loss(out.probs, targets)
 
-    wrt = [states, refs, recon.w_in, recon.w_key, recon.w_val, recon.w_head,
-           recon.stages[0][1].wq]
+    self_block, ref_stage = recon.stages[0]
+    wrt = [states, refs, recon.w_in, recon.w_val, recon.w_head,
+           self_block.wk, ref_stage.wo]
     return finite_difference_check(f, wrt)
 
 
@@ -334,12 +325,10 @@ CHECKS = {
     "matmul_batched": _check_matmul_batched,
     "transpose": _check_transpose,
     "permute_reshape": _check_permute_reshape,
-    "exp": _check_exp,
     "log": _check_log,
     "tanh": _check_tanh,
     "softplus": _check_softplus,
     "row_softmax": _check_row_softmax,
-    "row_logsumexp": _check_row_logsumexp,
     "layer_norm": _check_layer_norm,
     "l2_normalize": _check_l2_normalize,
     "embedding": _check_embedding,

@@ -19,7 +19,9 @@ from .reference import LocalReconstructor, ReferenceBank
 from .tensor import Adam, ShapeError, Tensor
 
 _CKPT_MAGIC = b"RFCKPT01"
-_CKPT_VERSION = 1
+# v2 dropped the dead cross-attention and key-bias tensors; Adam state is
+# stored by parameter position, so a v1 file cannot be mapped onto v2
+_CKPT_VERSION = 2
 
 
 class RetrievalModel:
@@ -50,10 +52,9 @@ class RetrievalModel:
         return list(self.named_parameters().values())
 
     def encode_pairs(self, batch: PairBatch) -> EncodedBatch:
-        text, tokens, mask = self.text_encoder.encode_batch(batch.token_seqs)
+        text, _, _ = self.text_encoder.encode_batch(batch.token_seqs)
         image = self.image_encoder.encode_batch(batch.images)
         return EncodedBatch(text_global=text, image_global=image,
-                            text_tokens=tokens, key_mask=mask,
                             labels=batch.labels)
 
 

@@ -2,9 +2,8 @@
 
 The bank holds one d-vector per training identity.  Fusion and guidance
 move it globally; the reconstruction path injects local detail: mask a
-few caption tokens, re-encode, then decode the missing tokens through
-cross-attention onto the identity's reference, which serves as the
-single key/value row.
+few caption tokens, re-encode, then decode the missing tokens with the
+identity's reference added to every position.
 """
 from __future__ import annotations
 
@@ -13,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MASK_ID, N_SPECIAL, STREAM_MASK, STREAM_MODEL, derive_rng
-from .encoders import AttentionBlock, linear, linear_init
+from .data import MASK_ID, N_SPECIAL, STREAM_MASK, derive_rng
+from .encoders import AttentionBlock, FeedForward, linear, linear_init
 from .tensor import Tensor
 
 _BANK_STD = 0.02
@@ -59,10 +58,6 @@ class ReferenceBank:
 
     def matrix(self) -> np.ndarray:
         return self.ref.data
-
-
-def init_reference_bank(m: int, d: int, seed: int) -> ReferenceBank:
-    return ReferenceBank(range(m), d, derive_rng(seed, STREAM_MODEL, 0))
 
 
 # ------------------------------------------------------------------ masking
@@ -111,14 +106,41 @@ class ReconstructionOutput:
     probs: Tensor     # (|M|, V) rows sum to one
 
 
+class ReferenceStage:
+    """Adds the projected reference to every position, then a feed-forward.
+
+    This is cross-attention onto a single key/value row in closed form:
+    a softmax over one key is identically 1, so every position receives
+    the value row whatever its query, and the query and key projections
+    never get a gradient.
+    """
+
+    def __init__(self, d: int, rng: np.random.Generator, name: str):
+        # draw and discard the init of the query projection this stage no
+        # longer has, so every later parameter keeps its seeded value
+        linear_init(rng, d, d)
+        self.wo = T.parameter(linear_init(rng, d, d), f"{name}.wo")
+        self.bo = T.parameter(np.zeros(d), f"{name}.bo")
+        self.ffn = FeedForward(d, rng, f"{name}.ffn")
+
+    def parameters(self) -> list[Tensor]:
+        return [self.wo, self.bo] + self.ffn.parameters()
+
+    def __call__(self, x: Tensor, values: Tensor) -> Tensor:
+        """x: (B, L, d) token states; values: (B, d) projected references."""
+        B, L, d = x.shape
+        per_position = np.repeat(np.arange(B), L)
+        injected = T.take_rows(linear(values, self.wo, self.bo), per_position)
+        return self.ffn(T.add(x, T.reshape(injected, (B, L, d))))
+
+
 class LocalReconstructor:
     """Decoder over masked token states, conditioned on a reference.
 
-    Four perceptron layers: an input projection on the token states, one
-    key and one value projection turning the reference row into the
-    cross-attention memory (shared by every stage), and the vocabulary
-    head.  Between them sit three stages of self-attention then
-    cross-attention blocks.
+    Three perceptron layers: an input projection on the token states, a
+    value projection of the reference (shared by every stage), and the
+    vocabulary head.  Between them sit stages of self-attention over the
+    tokens followed by a reference stage.
     """
 
     def __init__(self, d: int, n_heads: int, vocab_size: int,
@@ -130,23 +152,24 @@ class LocalReconstructor:
         self.vocab_size = vocab_size
         self.w_in = P(linear_init(rng, d, d), "recon.w_in")
         self.b_in = P(np.zeros(d), "recon.b_in")
-        self.w_key = P(linear_init(rng, d, d), "recon.w_key")
-        self.b_key = P(np.zeros(d), "recon.b_key")
+        # draw and discard the retired key projection's init, so every
+        # later parameter (the bank included) keeps its seeded value
+        linear_init(rng, d, d)
         self.w_val = P(linear_init(rng, d, d), "recon.w_val")
         self.b_val = P(np.zeros(d), "recon.b_val")
         self.stages = [
             (AttentionBlock(d, n_heads, rng, name=f"recon.stage{i}.self"),
-             AttentionBlock(d, n_heads, rng, cross=True, name=f"recon.stage{i}.cross"))
+             ReferenceStage(d, rng, name=f"recon.stage{i}.ref"))
             for i in range(n_stages)
         ]
         self.w_head = P(linear_init(rng, d, vocab_size), "recon.w_head")
         self.b_head = P(np.zeros(vocab_size), "recon.b_head")
 
     def parameters(self) -> list[Tensor]:
-        out = [self.w_in, self.b_in, self.w_key, self.b_key, self.w_val, self.b_val]
-        for sb, cb in self.stages:
-            out.extend(sb.parameters())
-            out.extend(cb.parameters())
+        out = [self.w_in, self.b_in, self.w_val, self.b_val]
+        for self_block, ref_stage in self.stages:
+            out.extend(self_block.parameters())
+            out.extend(ref_stage.parameters())
         out += [self.w_head, self.b_head]
         return out
 
@@ -168,13 +191,10 @@ class LocalReconstructor:
         if mask_rows.max() >= B or mask_cols.max() >= L or mask_rows.min() < 0 or mask_cols.min() < 0:
             raise T.ShapeError("reconstructor: mask position outside the batch")
 
-        ref_rows = T.reshape(references, (B, 1, d))
-        keys = linear(ref_rows, self.w_key, self.b_key)
-        values = linear(ref_rows, self.w_val, self.b_val)
+        values = linear(references, self.w_val, self.b_val)
         x = linear(token_states, self.w_in, self.b_in)
-        for self_block, cross_block in self.stages:
-            x = self_block(x, key_mask=key_mask)
-            x = cross_block(x, keys=keys, values=values)
+        for self_block, ref_stage in self.stages:
+            x = ref_stage(self_block(x, key_mask=key_mask), values)
         flat = T.reshape(x, (B * L, d))
         selected = T.take_rows(flat, mask_rows * L + mask_cols)
         logits = linear(selected, self.w_head, self.b_head)

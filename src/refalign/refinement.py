@@ -7,21 +7,7 @@ trains.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RefinedScore:
-    """One query-gallery entry decomposed into its fusion parts."""
-    base: float
-    reference: float
-    weight: float
-
-    @property
-    def final(self) -> float:
-        return self.base + self.weight * self.reference
 
 
 def project_to_reference_space(features: np.ndarray, bank: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ __all__ = [
     "Tensor", "ShapeError", "NumericsError", "GraphError",
     "parameter", "backward",
     "add", "sub", "mul", "scale", "shift", "matmul", "transpose", "permute",
-    "reshape", "exp", "log", "tanh", "softplus", "row_softmax",
-    "row_logsumexp", "layer_norm", "l2_normalize", "embedding",
-    "concat_rows", "mean_rows", "sum_all", "mean_all",
+    "reshape", "log", "tanh", "softplus", "row_softmax",
+    "layer_norm", "l2_normalize", "embedding",
+    "concat_rows", "sum_all", "mean_all",
     "take_rows", "take_per_row", "take_elements", "stop_gradient",
     "cosine_matrix",
     "Adam", "ScheduleConfig", "lr_at", "finite_difference_check",
@@ -290,13 +290,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 # ------------------------------------------------------------- elementwise
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    t = Tensor._result("exp", out, (a,), (lambda g: g * out,))
-    return t
-
-
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(a.data)
@@ -329,17 +322,6 @@ def row_softmax(a: Tensor) -> Tensor:
         return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
     return Tensor._result("row_softmax", s, (a,), (vjp,))
-
-
-def row_logsumexp(a: Tensor) -> Tensor:
-    """log-sum-exp along the last axis, kept as a trailing axis of size 1."""
-    m = a.data.max(axis=-1, keepdims=True)
-    out = m + np.log(np.exp(a.data - m).sum(axis=-1, keepdims=True))
-
-    def vjp(g, x=a.data, out=out):
-        return g * np.exp(x - out)
-
-    return Tensor._result("row_logsumexp", out, (a,), (vjp,))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -418,16 +400,6 @@ def concat_rows(tensors) -> Tensor:
         vjps.append(lambda g, s=ofs, e=ofs + n: g[s:e])
         ofs += n
     return Tensor._result("concat_rows", out, tuple(tensors), tuple(vjps))
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0 of a matrix, kept as one row."""
-    if a.ndim != 2:
-        raise ShapeError(f"mean_rows: expected a matrix, got {a.shape}")
-    n = a.shape[0]
-    out = a.data.mean(axis=0, keepdims=True)
-    return Tensor._result("mean_rows", out, (a,),
-                          (lambda g: np.repeat(g / n, n, axis=0),))
 
 
 def sum_all(a: Tensor) -> Tensor:

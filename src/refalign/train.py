@@ -121,6 +121,32 @@ def _evaluate(model: RetrievalModel, corpus: Corpus, cfg: RunConfig,
     return rows
 
 
+def _flatten(tree: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _check_resume_config(meta: dict, cfg: RunConfig) -> None:
+    """A resume must continue the checkpoint's own run: every config
+    field but run_id and out_dir has to match."""
+    if "config" not in meta:
+        raise ValueError("resume: checkpoint records no config")
+    saved = _flatten(meta["config"])
+    # through JSON, as the checkpoint stored it, so tuples compare as lists
+    live = _flatten(json.loads(json.dumps(config_as_dict(cfg))))
+    for key in [*live, *(k for k in saved if k not in live)]:
+        if key in ("run_id", "out_dir"):
+            continue
+        if saved.get(key) != live.get(key):
+            raise ValueError(f"resume: config field {key!r} is {saved.get(key)!r} "
+                             f"in the checkpoint but {live.get(key)!r} in this run")
+
+
 def train(cfg: RunConfig, corpus: Corpus | None = None,
           resume_from: str | None = None,
           stop_after_epochs: int | None = None,
@@ -128,7 +154,8 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     """Run the configured protocol end to end.
 
     resume_from restarts mid-schedule from a checkpoint written by
-    stop_after_epochs; both runs must share the config.
+    stop_after_epochs; both runs must share the config, run_id and
+    out_dir aside.
     """
     if corpus is None:
         corpus = generate_corpus(cfg.corpus)
@@ -154,6 +181,7 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         if meta.get("run_seed") != cfg.seed:
             raise ValueError(f"resume: checkpoint seed {meta.get('run_seed')} "
                              f"!= config seed {cfg.seed}")
+        _check_resume_config(meta, cfg)
         start_epoch = step // cfg.steps_per_epoch
 
     last_epoch = cfg.epochs if stop_after_epochs is None \

@@ -78,18 +78,35 @@ def test_attention_shape_validation():
         scaled_dot_product_attention(x, x, x, 2, key_mask=np.ones((2, 4), bool))
 
 
-def test_attention_block_mode_misuse():
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_key_bias_leaves_attention_unchanged(masked):
+    # q.b shifts a whole softmax row by one constant, which the softmax
+    # cancels: a key bias can neither change the output nor learn
     rng = derive_rng(5, 93)
-    blk = AttentionBlock(8, 2, rng, name="b")
-    cross = AttentionBlock(8, 2, rng, cross=True, name="c")
-    x = T.Tensor(rng.normal(size=(1, 3, 8)))
-    kv = T.Tensor(rng.normal(size=(1, 2, 8)))
-    with pytest.raises(T.ShapeError):
-        blk(x, keys=kv, values=kv)
-    with pytest.raises(T.ShapeError):
-        cross(x)
-    with pytest.raises(T.ShapeError):
-        cross(x, keys=kv)          # values missing
+    q = T.Tensor(rng.normal(size=(2, 3, 8)))
+    k = T.Tensor(rng.normal(size=(2, 4, 8)))
+    v = T.Tensor(rng.normal(size=(2, 4, 8)))
+    b = T.parameter(rng.normal(size=8))
+    mask = np.array([[True, True, True, False], [True, True, False, False]]) \
+        if masked else None
+    plain = scaled_dot_product_attention(q, k, v, 2, mask)
+    biased = scaled_dot_product_attention(q, T.add(k, b), v, 2, mask)
+    assert _rel_err(biased.data, plain.data) <= 1e-12
+    w = T.Tensor(rng.normal(size=plain.shape))
+    g = T.backward(T.sum_all(T.mul(biased, w)), wrt=[b])[b]
+    assert float(np.max(np.abs(g))) <= 1e-12
+
+
+def test_attention_block_parameters():
+    blk = AttentionBlock(8, 2, derive_rng(5, 93), name="b")
+    names = [p.name for p in blk.parameters()]
+    assert names == ["b.ln1.g", "b.ln1.b", "b.wq", "b.bq", "b.wk", "b.wv",
+                     "b.bv", "b.wo", "b.bo", "b.ffn.ln.g", "b.ffn.ln.b",
+                     "b.ffn.w1", "b.ffn.b1", "b.ffn.w2", "b.ffn.b2"]
 
 
 # ------------------------------------------------------------- text encoder

@@ -31,8 +31,8 @@ def test_negative_control_catches_a_broken_rule():
 
 
 def test_report_formatting():
-    results = run_checks(trials=1, names=["exp"])
+    results = run_checks(trials=1, names=["log"])
     text = format_report(results)
-    assert "exp" in text and "ok" in text
-    failing = run_checks(trials=1, names=["exp"], tolerance=0.0)
+    assert "log" in text and "ok" in text
+    failing = run_checks(trials=1, names=["log"], tolerance=0.0)
     assert "FAIL" in format_report(failing)

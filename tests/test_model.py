@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from refalign import tensor as T
+from refalign.config import trend_protocol_config
 from refalign.data import CorpusConfig, generate_corpus, sample_batch
 from refalign.encoders import EncoderConfig
 from refalign.model import (RetrievalModel, load_checkpoint, model_for_corpus,
@@ -47,6 +48,14 @@ def test_named_parameters_unique_and_complete():
     assert model.bank.m == 6
 
 
+def test_trend_model_size():
+    cfg = trend_protocol_config()
+    model = RetrievalModel(cfg.encoder, range(cfg.corpus.n_train_identities), seed=0)
+    params = model.parameters()
+    assert len(params) == 112
+    assert sum(p.size for p in params) == 108_352
+
+
 def test_model_seed_determinism():
     corpus = _corpus()
     a = model_for_corpus(_enc(corpus), corpus, seed=5)
@@ -65,7 +74,6 @@ def test_encode_pairs_contract():
     enc = model.encode_pairs(batch)
     assert enc.text_global.shape == (6, 16)
     assert enc.image_global.shape == (6, 16)
-    assert enc.text_tokens.ndim == 3
     np.testing.assert_array_equal(enc.labels, batch.labels)
 
 
@@ -119,6 +127,16 @@ def test_read_checkpoint_validation(tmp_path):
     bad_version.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="version"):
         read_checkpoint(str(bad_version))
+
+    # v1 files hold tensors v2 dropped and Adam moments keyed by the old
+    # parameter positions; they must be refused, never half-loaded
+    blob[8:12] = (1).to_bytes(4, "little")
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        read_checkpoint(str(v1))
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        load_checkpoint(str(v1), model.named_parameters())
 
     truncated = tmp_path / "short.ckpt"
     truncated.write_bytes(open(path, "rb").read()[:-16])

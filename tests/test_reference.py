@@ -4,9 +4,10 @@ import pytest
 from refalign import tensor as T
 from refalign.data import (BOS_ID, EOS_ID, MASK_ID, N_SPECIAL, PAD_ID,
                            derive_rng)
+from refalign.encoders import linear, scaled_dot_product_attention
 from refalign.losses import LossConfig, fuse_loss, guide_loss, rec_loss
 from refalign.reference import (LocalReconstructor, ReferenceBank,
-                                init_reference_bank, mask_tokens)
+                                ReferenceStage, mask_tokens)
 
 
 def _rng(i=0):
@@ -24,15 +25,15 @@ def test_bank_shape_and_lookup():
 
 
 def test_bank_init_statistics():
-    bank = init_reference_bank(200, 64, seed=0)
+    bank = ReferenceBank(range(200), 64, _rng())
     assert 0.018 < float(bank.ref.data.std()) < 0.022
     assert abs(float(bank.ref.data.mean())) < 0.001
 
 
 def test_bank_deterministic():
-    a = init_reference_bank(10, 8, seed=3)
-    b = init_reference_bank(10, 8, seed=3)
-    c = init_reference_bank(10, 8, seed=4)
+    a = ReferenceBank(range(10), 8, _rng(3))
+    b = ReferenceBank(range(10), 8, _rng(3))
+    c = ReferenceBank(range(10), 8, _rng(4))
     assert a.ref.data.tobytes() == b.ref.data.tobytes()
     assert a.ref.data.tobytes() != c.ref.data.tobytes()
 
@@ -231,3 +232,46 @@ def test_reconstructor_trains_through_masked_positions():
         return rec_loss(out.probs, [3])
 
     assert T.finite_difference_check(f, [refs, recon.w_head]) < 1e-4
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_reference_stage_is_one_row_cross_attention():
+    # the stage against the cross-attention block it replaces, on the
+    # same weights: queries from a normed copy of x, one key row and one
+    # value row per sample projected from the reference
+    d, heads, B, L = 8, 2, 2, 5
+    rng = _rng(18)
+    stage = ReferenceStage(d, rng, "s")
+    for p in stage.parameters():
+        p.data[...] += rng.normal(scale=0.3, size=p.shape)
+    x = T.parameter(rng.normal(size=(B, L, d)))
+    refs = T.parameter(rng.normal(size=(B, d)))
+    w_val, b_val = T.parameter(rng.normal(size=(d, d))), T.parameter(rng.normal(size=d))
+    ln1_g, ln1_b = T.parameter(rng.normal(size=d)), T.parameter(rng.normal(size=d))
+    wq, bq = T.parameter(rng.normal(size=(d, d))), T.parameter(rng.normal(size=d))
+    w_key, b_key = T.parameter(rng.normal(size=(d, d))), T.parameter(rng.normal(size=d))
+    probe = T.Tensor(rng.normal(size=(B, L, d)))
+
+    def old_block():
+        ref_rows = T.reshape(refs, (B, 1, d))
+        q = linear(T.layer_norm(x, ln1_g, ln1_b), wq, bq)
+        a = scaled_dot_product_attention(q, linear(ref_rows, w_key, b_key),
+                                         linear(ref_rows, w_val, b_val), heads)
+        return stage.ffn(T.add(x, linear(a, stage.wo, stage.bo)))
+
+    def new_stage():
+        return stage(x, linear(refs, w_val, b_val))
+
+    shared = [x, refs, w_val, b_val] + stage.parameters()
+    dead = [ln1_g, ln1_b, wq, bq, w_key, b_key]
+    old, new = old_block(), new_stage()
+    assert _rel_err(new.data, old.data) <= 1e-12
+    g_old = T.backward(T.sum_all(T.mul(old, probe)), wrt=shared + dead)
+    g_new = T.backward(T.sum_all(T.mul(new, probe)), wrt=shared)
+    for leaf in shared:
+        assert _rel_err(g_new[leaf], g_old[leaf]) <= 1e-12
+    for leaf in dead:                 # why the old form's leaves were dropped
+        np.testing.assert_array_equal(g_old[leaf], np.zeros(leaf.shape))

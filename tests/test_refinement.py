@@ -3,7 +3,7 @@ import pytest
 
 from refalign.data import derive_rng
 from refalign.evaluation import ranking
-from refalign.refinement import (RefinedScore, cosine_scores, fuse_scores,
+from refalign.refinement import (cosine_scores, fuse_scores,
                                  project_to_reference_space,
                                  reference_similarity, refined_scores)
 
@@ -40,8 +40,6 @@ def test_orthonormal_bank_preserves_cosines():
 def test_fusion_arithmetic():
     out = fuse_scores(np.array([[0.6]]), np.array([[0.4]]), 0.5)
     np.testing.assert_array_equal(out, [[0.8]])
-    entry = RefinedScore(base=0.6, reference=0.4, weight=0.5)
-    assert entry.final == 0.8
 
 
 def test_zero_weight_keeps_base_ranking():

@@ -6,12 +6,16 @@ import shutil
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from refalign.config import RunConfig, W_SWEEP_GRID
-from refalign.data import CorpusConfig, generate_corpus
+from refalign.data import CorpusConfig, generate_corpus, sample_batch
 from refalign.encoders import EncoderConfig
 from refalign.model import model_for_corpus, read_checkpoint
+from refalign.tensor import Adam, ScheduleConfig
 from refalign.train import (METRIC_COLUMNS, ablate, format_ablation_table,
-                            masked_eval, train, write_ablation_report)
+                            masked_eval, train, train_step,
+                            write_ablation_report)
 
 _CC = CorpusConfig(n_train_identities=12, n_test_identities=6,
                    pairs_per_identity=2, n_slots=3, values_per_slot=5,
@@ -90,6 +94,17 @@ def test_resume_validation(tmp_path):
     part = train(cfg, stop_after_epochs=1)
     with pytest.raises(ValueError, match="seed"):
         train(cfg.with_seed(1), resume_from=part.checkpoint_path)
+    with pytest.raises(ValueError, match="'peak_lr'"):
+        train(replace(cfg, peak_lr=2e-3), resume_from=part.checkpoint_path)
+    with pytest.raises(ValueError, match="'epochs'"):
+        train(replace(cfg, epochs=4), resume_from=part.checkpoint_path)
+    with pytest.raises(ValueError, match="'corpus.p_drop'"):
+        train(replace(cfg, corpus=replace(cfg.corpus, p_drop=0.5)),
+              resume_from=part.checkpoint_path)
+    # where the run writes is not part of what it computes
+    moved = train(replace(cfg, run_id="moved", out_dir=str(tmp_path / "moved")),
+                  resume_from=part.checkpoint_path)
+    assert moved.steps == 3 * 3
 
     from refalign.model import save_checkpoint
     from refalign.tensor import Adam
@@ -168,3 +183,25 @@ def test_ablation_report_structure(tmp_path):
 
     table = format_ablation_table(report)
     assert "Baseline" in table and "Full" in table and "0.9" in table
+
+
+class _RecordingAdam(Adam):
+    def step(self, grads, lr):
+        self.grads = grads
+        super().step(grads, lr)
+
+
+def test_every_parameter_gets_a_gradient(tmp_path):
+    # a tensor whose gradient is bitwise zero on a full variant-C step is
+    # dead weight the model cannot learn
+    cfg = _cfg(tmp_path).with_variant("C")
+    corpus = generate_corpus(cfg.corpus)
+    model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
+    params = model.named_parameters()
+    opt = _RecordingAdam(list(params.values()))
+    schedule = ScheduleConfig(cfg.peak_lr, cfg.warmup_epochs, cfg.epochs,
+                              cfg.steps_per_epoch)
+    batch = sample_batch(corpus, cfg.batch_identities, cfg.batch_pairs, seed=1)
+    train_step(model, opt, batch, cfg, schedule, step=1)
+    dead = [name for name, p in params.items() if not np.any(opt.grads[p])]
+    assert dead == []
