@@ -16,7 +16,7 @@ import sys
 from .config import (RunConfig, W_SWEEP_GRID, config_from_dict,
                      full_scale_config, read_config)
 from .data import CorpusConfig, generate_corpus, load_corpus, save_corpus
-from .evaluation import run_retrieval
+from .evaluation import encode_split, score_split
 from .gradcheck import format_report, run_checks, stop_gradient_contracts
 from .model import load_checkpoint, model_for_corpus, read_checkpoint
 from .train import (ablate, format_ablation_table, sweep_w, train,
@@ -130,10 +130,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     load_checkpoint(args.checkpoint, model.named_parameters())
     w = cfg.loss.refine_weight if args.w is None else args.w
     directions = ("t2i", "i2t") if args.direction == "both" else (args.direction,)
+    text, image, labels = encode_split(model, corpus, args.split)
     for direction in directions:
-        result = run_retrieval(model, corpus, split=args.split,
-                               direction=direction, use_refine=args.refine,
-                               w=w, ap_n=args.ap_n)
+        result = score_split(text, image, labels, model.bank.matrix(), direction,
+                             args.refine, w, args.ap_n)
         print(json.dumps({"direction": direction, "refined": args.refine,
                           "w": w if args.refine else None, **result.metrics},
                          sort_keys=True))
@@ -160,11 +160,7 @@ def _cmd_sweep_w(args: argparse.Namespace) -> int:
     grid = tuple(float(part) for part in args.grid.split(","))
     report = sweep_w(base, seeds=_parse_seeds(args.seeds), corpus=corpus,
                      w_grid=grid, log=None if args.quiet else print)
-    keys = ("R@1", "R@5", "R@10", "mAP", "AP@N")
-    print(f"{'w':<10}" + "".join(f"{k:>16}" for k in keys))
-    for entry in report["sweep"]:
-        cells = [f"{entry['mean'][k]:.2f}±{entry['std'][k]:.2f}" for k in keys]
-        print(f"{entry['w']:<10}" + "".join(f"{c:>16}" for c in cells))
+    print(format_ablation_table(report))
     return 0
 
 

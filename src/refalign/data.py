@@ -174,6 +174,15 @@ class Corpus:
         n = self.config.n_train_identities
         return list(range(n, n + self.config.n_test_identities))
 
+    def split_pairs(self, split: str) -> list[Pair]:
+        """The non-empty "train" or "test" split; anything else is an error."""
+        if split not in ("train", "test"):
+            raise ValueError(f"corpus: unknown split {split!r}, expected 'train' or 'test'")
+        pairs = self.train_pairs if split == "train" else self.test_pairs
+        if not pairs:
+            raise ValueError(f"corpus: split {split!r} is empty")
+        return pairs
+
     def pairs_of(self, identity_id: int) -> list[Pair]:
         pool = self.train_pairs if identity_id < self.config.n_train_identities else self.test_pairs
         return [p for p in pool if p.identity_id == identity_id]
@@ -294,15 +303,22 @@ def _write_pair(buf: io.BytesIO, p: Pair) -> None:
     buf.write(np.asarray(p.swapped, dtype="<i2").tobytes())
 
 
-def _read_pair(buf: io.BufferedReader) -> Pair:
-    ident, ntok = struct.unpack("<iI", buf.read(8))
-    tokens = np.frombuffer(buf.read(4 * ntok), dtype="<i4").astype(np.int64)
-    (dim,) = struct.unpack("<I", buf.read(4))
-    image = np.frombuffer(buf.read(8 * dim), dtype="<f8").astype(np.float64)
-    (nd,) = struct.unpack("<H", buf.read(2))
-    dropped = tuple(int(x) for x in np.frombuffer(buf.read(2 * nd), dtype="<i2"))
-    (ns,) = struct.unpack("<H", buf.read(2))
-    swapped = tuple(int(x) for x in np.frombuffer(buf.read(2 * ns), dtype="<i2"))
+def _read(f: io.BufferedReader, size: int, record: str) -> bytes:
+    raw = f.read(size)
+    if len(raw) != size:
+        raise ValueError(f"corpus file: truncated in {record}")
+    return raw
+
+
+def _read_pair(f: io.BufferedReader, record: str) -> Pair:
+    ident, ntok = struct.unpack("<iI", _read(f, 8, record))
+    tokens = np.frombuffer(_read(f, 4 * ntok, record), dtype="<i4").astype(np.int64)
+    (dim,) = struct.unpack("<I", _read(f, 4, record))
+    image = np.frombuffer(_read(f, 8 * dim, record), dtype="<f8").astype(np.float64)
+    (nd,) = struct.unpack("<H", _read(f, 2, record))
+    dropped = tuple(int(x) for x in np.frombuffer(_read(f, 2 * nd, record), dtype="<i2"))
+    (ns,) = struct.unpack("<H", _read(f, 2, record))
+    swapped = tuple(int(x) for x in np.frombuffer(_read(f, 2 * ns, record), dtype="<i2"))
     return Pair(ident, image, tokens, dropped, swapped)
 
 
@@ -327,19 +343,21 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 
 def load_corpus(path: str) -> Corpus:
+    """Read a save_corpus file; a cut file fails naming the record it ends in."""
     with open(path, "rb") as f:
-        magic = f.read(8)
+        magic = _read(f, 8, "header")
         if magic != _CORPUS_MAGIC:
             raise ValueError(f"corpus file: bad magic {magic!r}")
-        (n,) = struct.unpack("<I", f.read(4))
-        cfg = CorpusConfig(**json.loads(f.read(n)))
-        (nobj,) = struct.unpack("<I", f.read(4))
+        (n,) = struct.unpack("<I", _read(f, 4, "header"))
+        cfg = CorpusConfig(**json.loads(_read(f, n, "config")))
+        (nobj,) = struct.unpack("<I", _read(f, 4, "object count"))
         objects = []
-        for _ in range(nobj):
-            ident, natt = struct.unpack("<iH", f.read(6))
-            attrs = tuple(int(x) for x in np.frombuffer(f.read(2 * natt), dtype="<i2"))
+        for i in range(nobj):
+            ident, natt = struct.unpack("<iH", _read(f, 6, f"object {i}"))
+            attrs = tuple(int(x) for x in np.frombuffer(_read(f, 2 * natt, f"object {i}"),
+                                                        dtype="<i2"))
             objects.append(ObjectSpec(ident, attrs))
-        ntrain, ntest = struct.unpack("<II", f.read(8))
-        train_pairs = [_read_pair(f) for _ in range(ntrain)]
-        test_pairs = [_read_pair(f) for _ in range(ntest)]
+        ntrain, ntest = struct.unpack("<II", _read(f, 8, "pair counts"))
+        train_pairs = [_read_pair(f, f"train pair {i}") for i in range(ntrain)]
+        test_pairs = [_read_pair(f, f"test pair {i}") for i in range(ntest)]
     return Corpus(cfg, objects, train_pairs, test_pairs)

@@ -14,6 +14,8 @@ from . import refinement
 from .data import Corpus
 
 DEFAULT_AP_N = 50
+# pairs per forward pass when encoding a split or masked captions
+ENCODE_CHUNK = 64
 
 
 def ranking(scores: np.ndarray) -> np.ndarray:
@@ -25,30 +27,29 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=1, kind="stable")
 
 
-def _check_relevance(scores: np.ndarray, relevance: np.ndarray) -> np.ndarray:
+def _check_relevance(order: np.ndarray, relevance: np.ndarray) -> np.ndarray:
     relevance = np.asarray(relevance, dtype=bool)
-    if relevance.shape != scores.shape:
-        raise ValueError(f"metrics: relevance shape {relevance.shape} != scores {np.shape(scores)}")
+    if relevance.shape != order.shape:
+        raise ValueError(f"metrics: relevance shape {relevance.shape} != scores {order.shape}")
     missing = np.flatnonzero(~relevance.any(axis=1))
     if missing.size:
         raise ValueError(f"metrics: query {int(missing[0])} has no relevant gallery item")
     return relevance
 
 
-def rank_at_k(scores: np.ndarray, relevance: np.ndarray, k: int) -> float:
-    """Percent of queries with a relevant item somewhere in the top k."""
+# The metrics below read a ranking(scores) order, so one sort serves them
+# all; sums run per query and then across queries, as the oracles do.
+
+def _recall_at_k(order: np.ndarray, relevance: np.ndarray, k: int) -> float:
     if k < 1:
         raise ValueError(f"rank_at_k: k must be >= 1, got {k}")
-    order = ranking(scores)
-    relevance = _check_relevance(np.asarray(scores), relevance)
+    relevance = _check_relevance(order, relevance)
     hits = np.take_along_axis(relevance, order[:, :k], axis=1).any(axis=1)
     return float(hits.sum()) / hits.size * 100.0
 
 
-def mean_average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
-    """Mean over queries of average precision over all relevant items."""
-    order = ranking(scores)
-    relevance = _check_relevance(np.asarray(scores), relevance)
+def _mean_ap(order: np.ndarray, relevance: np.ndarray) -> float:
+    relevance = _check_relevance(order, relevance)
     aps = []
     for q in range(order.shape[0]):
         rel_sorted = relevance[q, order[q]]
@@ -58,19 +59,14 @@ def mean_average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
     return float(np.sum(np.asarray(aps))) / len(aps)
 
 
-def ap_at_n(scores: np.ndarray, query_classes, gallery_classes, n: int) -> float:
-    """Fraction of top-n sharing the query's class, averaged per class and
-    then across classes, as a percentage."""
-    scores = np.asarray(scores, dtype=np.float64)
+def _ap_n(order: np.ndarray, query_classes, gallery_classes, n: int) -> float:
     query_classes = np.asarray(query_classes)
     gallery_classes = np.asarray(gallery_classes)
-    if scores.ndim != 2 or query_classes.shape != (scores.shape[0],) \
-            or gallery_classes.shape != (scores.shape[1],):
-        raise ValueError(f"ap_at_n: shapes {scores.shape} / {query_classes.shape} / "
+    if query_classes.shape != (order.shape[0],) or gallery_classes.shape != (order.shape[1],):
+        raise ValueError(f"ap_at_n: shapes {order.shape} / {query_classes.shape} / "
                          f"{gallery_classes.shape} do not line up")
-    if n < 1 or n > scores.shape[1]:
-        raise ValueError(f"ap_at_n: n={n} invalid for a gallery of {scores.shape[1]}")
-    order = ranking(scores)
+    if n < 1 or n > order.shape[1]:
+        raise ValueError(f"ap_at_n: n={n} invalid for a gallery of {order.shape[1]}")
     top = gallery_classes[order[:, :n]]
     frac = (top == query_classes[:, None]).sum(axis=1).astype(np.float64) / n
     class_means = []
@@ -80,52 +76,77 @@ def ap_at_n(scores: np.ndarray, query_classes, gallery_classes, n: int) -> float
     return float(np.sum(np.asarray(class_means))) / len(class_means) * 100.0
 
 
+def rank_at_k(scores: np.ndarray, relevance: np.ndarray, k: int) -> float:
+    """Percent of queries with a relevant item somewhere in the top k."""
+    return _recall_at_k(ranking(scores), relevance, k)
+
+
+def mean_average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
+    """Mean over queries of average precision over all relevant items."""
+    return _mean_ap(ranking(scores), relevance)
+
+
+def ap_at_n(scores: np.ndarray, query_classes, gallery_classes, n: int) -> float:
+    """Fraction of top-n sharing the query's class, averaged per class and
+    then across classes, as a percentage."""
+    return _ap_n(ranking(scores), query_classes, gallery_classes, n)
+
+
 @dataclass
 class RetrievalResult:
     rankings: np.ndarray   # (nq, ng) gallery permutations
-    relevance: np.ndarray  # (nq, ng) bool
     metrics: dict[str, float]
 
 
 def encode_split(model, corpus: Corpus, split: str):
-    """-> (text features, image features, labels) as plain arrays."""
-    if split == "test":
-        pairs = corpus.test_pairs
-    elif split == "train":
-        pairs = corpus.train_pairs
-    else:
-        raise ValueError(f"encode_split: unknown split {split!r}")
-    if not pairs:
-        raise ValueError(f"encode_split: split {split!r} is empty")
-    text, _, _ = model.text_encoder.encode_batch([p.tokens for p in pairs])
-    image = model.image_encoder.encode_batch(np.stack([p.image for p in pairs]))
+    """-> (text features, image features, labels) as plain arrays.
+
+    Encodes ENCODE_CHUNK pairs at a time and keeps only each chunk's
+    feature values, so no more than one chunk's graph is ever alive.
+    """
+    pairs = corpus.split_pairs(split)
+    text, image = [], []
+    for lo in range(0, len(pairs), ENCODE_CHUNK):
+        part = pairs[lo:lo + ENCODE_CHUNK]
+        text.append(model.text_encoder.encode_batch([p.tokens for p in part])[0].data)
+        image.append(model.image_encoder.encode_batch(np.stack([p.image for p in part])).data)
     labels = np.asarray([p.identity_id for p in pairs], dtype=np.int64)
-    return text.data, image.data, labels
+    return np.concatenate(text), np.concatenate(image), labels
 
 
-def run_retrieval(model, corpus: Corpus, split: str = "test",
-                  direction: str = "t2i", use_refine: bool = False,
-                  w: float = 0.5, ap_n: int | None = None) -> RetrievalResult:
-    """Score a whole split in one direction and aggregate every metric.
+def score_split(text: np.ndarray, image: np.ndarray, labels: np.ndarray,
+                bank: np.ndarray, direction: str = "t2i", use_refine: bool = False,
+                w: float = 0.5, ap_n: int | None = None) -> RetrievalResult:
+    """Score encoded features in one direction and aggregate every metric
+    from a single ranking of the score matrix.
 
     t2i ranks images by text queries; i2t transposes.  With use_refine,
     scores become base + w * reference-space cosine through the bank.
     """
     if direction not in ("t2i", "i2t"):
-        raise ValueError(f"run_retrieval: direction {direction!r}")
-    text, image, labels = encode_split(model, corpus, split)
+        raise ValueError(f"score_split: direction {direction!r}")
     queries, gallery = (text, image) if direction == "t2i" else (image, text)
     if use_refine:
-        scores = refinement.refined_scores(queries, gallery, model.bank.matrix(), w)
+        scores = refinement.refined_scores(queries, gallery, bank, w)
     else:
         scores = refinement.cosine_scores(queries, gallery)
+    order = ranking(scores)
     relevance = labels[:, None] == labels[None, :]
-    n = min(DEFAULT_AP_N, scores.shape[1]) if ap_n is None else ap_n
+    n = min(DEFAULT_AP_N, order.shape[1]) if ap_n is None else ap_n
     metrics = {
-        "R@1": rank_at_k(scores, relevance, 1),
-        "R@5": rank_at_k(scores, relevance, 5),
-        "R@10": rank_at_k(scores, relevance, 10),
-        "mAP": mean_average_precision(scores, relevance),
-        f"AP@{n}": ap_at_n(scores, labels, labels, n),
+        "R@1": _recall_at_k(order, relevance, 1),
+        "R@5": _recall_at_k(order, relevance, 5),
+        "R@10": _recall_at_k(order, relevance, 10),
+        "mAP": _mean_ap(order, relevance),
+        f"AP@{n}": _ap_n(order, labels, labels, n),
     }
-    return RetrievalResult(rankings=ranking(scores), relevance=relevance, metrics=metrics)
+    return RetrievalResult(rankings=order, metrics=metrics)
+
+
+def run_retrieval(model, corpus: Corpus, split: str = "test",
+                  direction: str = "t2i", use_refine: bool = False,
+                  w: float = 0.5, ap_n: int | None = None) -> RetrievalResult:
+    """Encode a whole split, then score it as score_split does."""
+    text, image, labels = encode_split(model, corpus, split)
+    return score_split(text, image, labels, model.bank.matrix(), direction,
+                       use_refine, w, ap_n)

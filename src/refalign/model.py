@@ -105,11 +105,15 @@ def read_checkpoint(path: str) -> tuple[int, dict, dict[str, np.ndarray]]:
     """-> (step, meta, name -> array); validates framing, not shapes."""
     with open(path, "rb") as f:
         blob = f.read()
+    if len(blob) < 16:
+        raise ValueError(f"checkpoint: truncated in header ({len(blob)} of 16 bytes)")
     if blob[:8] != _CKPT_MAGIC:
         raise ValueError(f"checkpoint: bad magic {blob[:8]!r}")
     version, mlen = struct.unpack_from("<II", blob, 8)
     if version != _CKPT_VERSION:
         raise ValueError(f"checkpoint: unsupported version {version}")
+    if len(blob) < 16 + mlen:
+        raise ValueError("checkpoint: truncated in manifest")
     manifest = json.loads(blob[16:16 + mlen])
     payload = blob[16 + mlen:]
     arrays: dict[str, np.ndarray] = {}
@@ -119,7 +123,7 @@ def read_checkpoint(path: str) -> tuple[int, dict, dict[str, np.ndarray]]:
         start = entry["offset"]
         raw = payload[start:start + count * 8]
         if len(raw) != count * 8:
-            raise ValueError(f"checkpoint: truncated payload at {entry['name']!r}")
+            raise ValueError(f"checkpoint: truncated in array {entry['name']!r}")
         arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     return int(manifest["step"]), manifest["meta"], arrays
 

@@ -17,14 +17,14 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict
 from .data import Corpus, PairBatch, STREAM_MASK, derive_rng, generate_corpus, sample_batch
-from .evaluation import RetrievalResult, run_retrieval
+from .evaluation import ENCODE_CHUNK, encode_split, score_split
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
 from .reference import mask_tokens
 from .tensor import Adam, NumericsError, ScheduleConfig, lr_at
 
-METRIC_COLUMNS = ("run_id", "seed", "step", "R@1", "R@5", "R@10", "mAP",
-                  "AP@N", "direction", "refined")
+REPORT_KEYS = ("R@1", "R@5", "R@10", "mAP", "AP@N")
+METRIC_COLUMNS = ("run_id", "seed", "step", *REPORT_KEYS, "direction", "refined")
 
 # keeps (seed, step) -> batch seed injective for any plausible run length
 _SEED_STRIDE = 10_000_019
@@ -42,21 +42,10 @@ class TrainResult:
     final_metrics: list[dict] = field(default_factory=list)
 
 
-def _metric_row(cfg: RunConfig, step: int, direction: str, refined: bool,
-                result: RetrievalResult) -> dict:
-    ap_key = next(k for k in result.metrics if k.startswith("AP@"))
-    return {
-        "run_id": cfg.run_id,
-        "seed": cfg.seed,
-        "step": step,
-        "R@1": result.metrics["R@1"],
-        "R@5": result.metrics["R@5"],
-        "R@10": result.metrics["R@10"],
-        "mAP": result.metrics["mAP"],
-        "AP@N": result.metrics[ap_key],
-        "direction": direction,
-        "refined": refined,
-    }
+def _report_columns(metrics: dict[str, float]) -> dict[str, float]:
+    """One scoring's metrics under the report columns; AP@<n> becomes AP@N."""
+    ap_key = next(k for k in metrics if k.startswith("AP@"))
+    return {k: metrics[ap_key if k == "AP@N" else k] for k in REPORT_KEYS}
 
 
 def _append_metrics(row: dict, jsonl_path: str, csv_path: str) -> None:
@@ -70,20 +59,28 @@ def _append_metrics(row: dict, jsonl_path: str, csv_path: str) -> None:
         writer.writerow(row)
 
 
-def _reconstruction_term(model: RetrievalModel, batch: PairBatch,
-                         cfg: RunConfig, step: int):
-    masked = [mask_tokens(seq, cfg.mask_ratio,
-                          derive_rng(cfg.seed, STREAM_MASK, step, i))
-              for i, seq in enumerate(batch.token_seqs)]
+def _reconstruct_masked(model: RetrievalModel, token_seqs, labels,
+                        ratio: float, rngs):
+    """Mask each caption with its own rng, encode the masked batch, and
+    reconstruct every masked position from the token states plus the
+    caption's identity reference.
+
+    -> (per-position vocabulary probabilities, target token ids), or
+    None when no caption had a maskable token (a fully dropped caption is
+    legal).
+    """
+    masked = [mask_tokens(seq, ratio, rng) for seq, rng in zip(token_seqs, rngs)]
+    if all(m.positions.size == 0 for m in masked):
+        return None
     _, token_states, key_mask = model.text_encoder.encode_batch(
         [m.tokens for m in masked])
-    refs = model.bank.rows_for(batch.labels)
+    refs = model.bank.rows_for(labels)
     rows = np.concatenate([np.full(m.positions.size, i, dtype=np.intp)
                            for i, m in enumerate(masked)])
     cols = np.concatenate([m.positions for m in masked])
     targets = np.concatenate([m.targets for m in masked])
     out = model.reconstructor(token_states, refs, rows, cols, key_mask=key_mask)
-    return rec_loss(out.probs, targets)
+    return out.probs, targets
 
 
 def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
@@ -100,7 +97,13 @@ def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
         if cfg.use_guidance:
             guide = guide_loss(reps, model.bank, rep_labels, cfg.loss)
     if cfg.use_local_reconstruction:
-        rec = _reconstruction_term(model, batch, cfg, step)
+        rngs = [derive_rng(cfg.seed, STREAM_MASK, step, i)
+                for i in range(len(batch.token_seqs))]
+        recon = _reconstruct_masked(model, batch.token_seqs, batch.labels,
+                                    cfg.mask_ratio, rngs)
+        if recon is None:
+            raise ValueError(f"step {step}: no caption in the batch has a maskable token")
+        rec = rec_loss(*recon)
     total = total_loss(align, fuse, rec, guide, cfg.loss)
     grads = T.backward(total, wrt=optimizer.params)
     optimizer.step(grads, lr_at(step, schedule))
@@ -109,13 +112,16 @@ def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
 
 def _evaluate(model: RetrievalModel, corpus: Corpus, cfg: RunConfig,
               step: int, jsonl_path: str, csv_path: str) -> list[dict]:
+    text, image, labels = encode_split(model, corpus, "test")
     rows = []
     refine_states = (False, True) if cfg.use_refinement else (False,)
     for refined in refine_states:
         for direction in ("t2i", "i2t"):
-            result = run_retrieval(model, corpus, "test", direction,
-                                   use_refine=refined, w=cfg.loss.refine_weight)
-            row = _metric_row(cfg, step, direction, refined, result)
+            result = score_split(text, image, labels, model.bank.matrix(),
+                                 direction, refined, cfg.loss.refine_weight)
+            row = {"run_id": cfg.run_id, "seed": cfg.seed, "step": step,
+                   **_report_columns(result.metrics),
+                   "direction": direction, "refined": refined}
             _append_metrics(row, jsonl_path, csv_path)
             rows.append(row)
     return rows
@@ -217,34 +223,24 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
 # ------------------------------------------------------- masked-token evals
 
 def masked_eval(model: RetrievalModel, corpus: Corpus, split: str = "train",
-                ratio: float = 0.15, seed: int = 0, chunk: int = 64) -> dict:
+                ratio: float = 0.15, seed: int = 0) -> dict:
     """Deterministic masked-token accuracy and perplexity over a split.
 
     Uses each pair's own identity reference, so the split must be one the
     bank covers (train, unless the bank was built wider).
     """
-    pairs = corpus.train_pairs if split == "train" else corpus.test_pairs
-    if not pairs:
-        raise ValueError(f"masked_eval: split {split!r} is empty")
+    pairs = corpus.split_pairs(split)
     total_nll = 0.0
     hits = 0
     count = 0
-    for lo in range(0, len(pairs), chunk):
-        part = pairs[lo:lo + chunk]
-        masked = [mask_tokens(p.tokens, ratio, derive_rng(seed, STREAM_MASK, lo + i))
-                  for i, p in enumerate(part)]
-        if all(m.positions.size == 0 for m in masked):
-            continue                      # fully dropped captions are legal
-        _, token_states, key_mask = model.text_encoder.encode_batch(
-            [m.tokens for m in masked])
-        labels = np.asarray([p.identity_id for p in part])
-        refs = model.bank.rows_for(labels)
-        rows = np.concatenate([np.full(m.positions.size, i, dtype=np.intp)
-                               for i, m in enumerate(masked)])
-        cols = np.concatenate([m.positions for m in masked])
-        targets = np.concatenate([m.targets for m in masked])
-        out = model.reconstructor(token_states, refs, rows, cols, key_mask=key_mask)
-        probs = out.probs.data
+    for lo in range(0, len(pairs), ENCODE_CHUNK):
+        part = pairs[lo:lo + ENCODE_CHUNK]
+        recon = _reconstruct_masked(
+            model, [p.tokens for p in part], np.asarray([p.identity_id for p in part]),
+            ratio, [derive_rng(seed, STREAM_MASK, lo + i) for i in range(len(part))])
+        if recon is None:
+            continue
+        probs, targets = recon[0].data, recon[1]
         picked = probs[np.arange(targets.size), targets]
         total_nll += float(-np.log(picked + 1e-300).sum())
         hits += int((probs.argmax(axis=1) == targets).sum())
@@ -259,19 +255,23 @@ def masked_eval(model: RetrievalModel, corpus: Corpus, split: str = "train",
 # ---------------------------------------------------------------- ablation
 
 def _aggregate(rows_by_seed: list[dict]) -> dict:
-    keys = ("R@1", "R@5", "R@10", "mAP", "AP@N")
-    mean = {k: float(np.mean([r[k] for r in rows_by_seed])) for k in keys}
-    std = {k: float(np.std([r[k] for r in rows_by_seed])) for k in keys}
+    mean = {k: float(np.mean([r[k] for r in rows_by_seed])) for k in REPORT_KEYS}
+    std = {k: float(np.std([r[k] for r in rows_by_seed])) for k in REPORT_KEYS}
     return {"mean": mean, "std": std}
 
 
-def _eval_row(model: RetrievalModel, corpus: Corpus, refined: bool, w: float) -> dict:
-    result = run_retrieval(model, corpus, "test", "t2i",
-                           use_refine=refined, w=w)
-    ap_key = next(k for k in result.metrics if k.startswith("AP@"))
-    return {"R@1": result.metrics["R@1"], "R@5": result.metrics["R@5"],
-            "R@10": result.metrics["R@10"], "mAP": result.metrics["mAP"],
-            "AP@N": result.metrics[ap_key]}
+def _t2i_rows(model: RetrievalModel, corpus: Corpus, settings) -> list[dict]:
+    """Encode the test split once, then score text-to-image for each
+    (refined, w) in settings; -> one report row per setting."""
+    text, image, labels = encode_split(model, corpus, "test")
+    bank = model.bank.matrix()
+    return [_report_columns(score_split(text, image, labels, bank, "t2i", refined, w).metrics)
+            for refined, w in settings]
+
+
+def _sweep_entries(w_grid, rows: dict[float, list[dict]]) -> list[dict]:
+    return [{"w": g, **_aggregate(rows[float(g)]), "per_seed": rows[float(g)]}
+            for g in w_grid]
 
 
 def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
@@ -281,7 +281,8 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     Per seed, three trainings: Baseline, A (guidance + fusion), and C
     (guidance + fusion + reconstruction).  B reranks A's model through
     the bank; Full reranks C's.  The sweep re-scores C's model across
-    w_grid.  Scores are text-to-image on the test split.
+    w_grid.  Scores are text-to-image on the test split, and each model
+    is encoded once.
     """
     if corpus is None:
         corpus = generate_corpus(base.corpus)
@@ -290,24 +291,24 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     sweep_rows: dict[float, list[dict]] = {float(g): [] for g in w_grid}
     for seed in seeds:
         cfg_s = base.with_seed(int(seed))
-        trained = {name: train(cfg_s.with_variant(name), corpus, log=log)
+        trained = {name: train(cfg_s.with_variant(name), corpus, log=log).model
                    for name in ("Baseline", "A", "C")}
-        variant_rows["Baseline"].append(_eval_row(trained["Baseline"].model, corpus, False, w))
-        variant_rows["A"].append(_eval_row(trained["A"].model, corpus, False, w))
-        variant_rows["B"].append(_eval_row(trained["A"].model, corpus, True, w))
-        variant_rows["C"].append(_eval_row(trained["C"].model, corpus, False, w))
-        variant_rows["Full"].append(_eval_row(trained["C"].model, corpus, True, w))
-        for g in w_grid:
-            sweep_rows[float(g)].append(_eval_row(trained["C"].model, corpus, True, float(g)))
-    report = {
+        (baseline,) = _t2i_rows(trained["Baseline"], corpus, [(False, w)])
+        a, b = _t2i_rows(trained["A"], corpus, [(False, w), (True, w)])
+        c, full, *sweep = _t2i_rows(trained["C"], corpus,
+                                    [(False, w), (True, w)] + [(True, float(g)) for g in w_grid])
+        for name, row in (("Baseline", baseline), ("A", a), ("B", b),
+                          ("C", c), ("Full", full)):
+            variant_rows[name].append(row)
+        for g, row in zip(w_grid, sweep):
+            sweep_rows[float(g)].append(row)
+    return {
         "seeds": [int(s) for s in seeds],
         "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(w_grid)),
         "variants": [{"variant": v, **_aggregate(variant_rows[v]),
                       "per_seed": variant_rows[v]} for v in VARIANT_ORDER],
-        "sweep": [{"w": g, **_aggregate(sweep_rows[float(g)]),
-                   "per_seed": sweep_rows[float(g)]} for g in w_grid],
+        "sweep": _sweep_entries(w_grid, sweep_rows),
     }
-    return report
 
 
 def write_ablation_report(report: dict, out_dir: str, name: str = "ablation") -> tuple[str, str]:
@@ -316,34 +317,35 @@ def write_ablation_report(report: dict, out_dir: str, name: str = "ablation") ->
     csv_path = os.path.join(out_dir, f"{name}.csv")
     with open(json_path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
-    keys = ("R@1", "R@5", "R@10", "mAP", "AP@N")
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["row", "setting"] + [f"{k} mean" for k in keys]
-                        + [f"{k} std" for k in keys])
+        writer.writerow(["row", "setting"] + [f"{k} mean" for k in REPORT_KEYS]
+                        + [f"{k} std" for k in REPORT_KEYS])
         for entry in report["variants"]:
             writer.writerow(["variant", entry["variant"]]
-                            + [entry["mean"][k] for k in keys]
-                            + [entry["std"][k] for k in keys])
+                            + [entry["mean"][k] for k in REPORT_KEYS]
+                            + [entry["std"][k] for k in REPORT_KEYS])
         for entry in report["sweep"]:
             writer.writerow(["sweep", entry["w"]]
-                            + [entry["mean"][k] for k in keys]
-                            + [entry["std"][k] for k in keys])
+                            + [entry["mean"][k] for k in REPORT_KEYS]
+                            + [entry["std"][k] for k in REPORT_KEYS])
     return json_path, csv_path
 
 
 def format_ablation_table(report: dict) -> str:
-    keys = ("R@1", "R@5", "R@10", "mAP", "AP@N")
-    lines = [f"{'row':<10}" + "".join(f"{k:>16}" for k in keys)]
-    for entry in report["variants"]:
-        cells = [f"{entry['mean'][k]:.2f}±{entry['std'][k]:.2f}" for k in keys]
-        lines.append(f"{entry['variant']:<10}" + "".join(f"{c:>16}" for c in cells))
-    lines.append("")
-    lines.append(f"{'w':<10}" + "".join(f"{k:>16}" for k in keys))
-    for entry in report["sweep"]:
-        cells = [f"{entry['mean'][k]:.2f}±{entry['std'][k]:.2f}" for k in keys]
-        lines.append(f"{entry['w']:<10}" + "".join(f"{c:>16}" for c in cells))
-    return "\n".join(lines)
+    """mean±std per column: the variant table when the report has one (an
+    ablate report), then the w sweep (ablate and sweep_w reports)."""
+    def table(label: str, key: str, entries) -> list[str]:
+        lines = [f"{label:<10}" + "".join(f"{k:>16}" for k in REPORT_KEYS)]
+        for entry in entries:
+            cells = [f"{entry['mean'][k]:.2f}±{entry['std'][k]:.2f}" for k in REPORT_KEYS]
+            lines.append(f"{entry[key]:<10}" + "".join(f"{c:>16}" for c in cells))
+        return lines
+
+    lines = []
+    if "variants" in report:
+        lines = table("row", "variant", report["variants"]) + [""]
+    return "\n".join(lines + table("w", "w", report["sweep"]))
 
 
 def sweep_w(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
@@ -353,12 +355,7 @@ def sweep_w(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
         corpus = generate_corpus(base.corpus)
     rows: dict[float, list[dict]] = {float(g): [] for g in w_grid}
     for seed in seeds:
-        cfg_s = base.with_seed(int(seed)).with_variant("C")
-        result = train(cfg_s, corpus, log=log)
-        for g in w_grid:
-            rows[float(g)].append(_eval_row(result.model, corpus, True, float(g)))
-    return {
-        "seeds": [int(s) for s in seeds],
-        "sweep": [{"w": g, **_aggregate(rows[float(g)]), "per_seed": rows[float(g)]}
-                  for g in w_grid],
-    }
+        model = train(base.with_seed(int(seed)).with_variant("C"), corpus, log=log).model
+        for g, row in zip(w_grid, _t2i_rows(model, corpus, [(True, float(g)) for g in w_grid])):
+            rows[float(g)].append(row)
+    return {"seeds": [int(s) for s in seeds], "sweep": _sweep_entries(w_grid, rows)}

@@ -241,3 +241,18 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_bytes(b"NOTACORP" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_corpus(str(path))
+
+
+def test_load_names_the_record_a_cut_file_ends_in(tmp_path):
+    corpus = generate_corpus(_cfg())
+    path = tmp_path / "corpus.bin"
+    save_corpus(corpus, str(path))
+    blob = path.read_bytes()
+    last = len(corpus.test_pairs) - 1
+    cuts = {0: "header", 4: "header", 10: "header", 14: "config",
+            len(blob) // 2: r"(train|test) pair \d+", len(blob) - 3: f"test pair {last}",
+            len(blob) - 1: f"test pair {last}"}
+    for cut, record in cuts.items():
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=f"corpus file: truncated in {record}$"):
+            load_corpus(str(path))

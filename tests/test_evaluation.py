@@ -8,11 +8,12 @@ exact equality.
 import numpy as np
 import pytest
 
+from refalign import refinement
 from refalign.config import RunConfig
 from refalign.data import CorpusConfig, derive_rng, generate_corpus
-from refalign.evaluation import (ap_at_n, encode_split,
+from refalign.evaluation import (ENCODE_CHUNK, ap_at_n, encode_split,
                                  mean_average_precision, rank_at_k, ranking,
-                                 run_retrieval)
+                                 run_retrieval, score_split)
 from refalign.model import EncoderConfig, model_for_corpus
 
 
@@ -197,5 +198,46 @@ def test_encode_split_contract():
     text, image, labels = encode_split(model, corpus, "train")
     assert text.shape == image.shape == (12, 16)
     np.testing.assert_array_equal(labels, np.repeat(np.arange(6), 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'dev'"):
         encode_split(model, corpus, "dev")
+
+
+def test_encode_split_chunks_match_one_batch():
+    cc = CorpusConfig(n_train_identities=4, n_test_identities=35,
+                      pairs_per_identity=2, seed=5)
+    corpus = generate_corpus(cc)
+    model = model_for_corpus(EncoderConfig(d=16, image_input_dim=cc.image_dim),
+                             corpus, seed=1)
+    pairs = corpus.test_pairs
+    assert len(pairs) > ENCODE_CHUNK             # at least two chunks
+    text, image, labels = encode_split(model, corpus, "test")
+    whole_text = model.text_encoder.encode_batch([p.tokens for p in pairs])[0].data
+    whole_image = model.image_encoder.encode_batch(np.stack([p.image for p in pairs])).data
+    assert np.array_equal(text, whole_text)
+    assert np.array_equal(image, whole_image)
+    np.testing.assert_array_equal(labels, [p.identity_id for p in pairs])
+
+
+def test_score_split_matches_per_metric_functions():
+    model, corpus = _micro_setup()
+    text, image, labels = encode_split(model, corpus, "test")
+    bank = model.bank.matrix()
+    relevance = labels[:, None] == labels[None, :]
+    for direction in ("t2i", "i2t"):
+        queries, gallery = (text, image) if direction == "t2i" else (image, text)
+        for refined in (False, True):
+            scores = (refinement.refined_scores(queries, gallery, bank, 0.5) if refined
+                      else refinement.cosine_scores(queries, gallery))
+            res = score_split(text, image, labels, bank, direction, refined, 0.5)
+            np.testing.assert_array_equal(res.rankings, ranking(scores))
+            assert res.metrics == {
+                "R@1": rank_at_k(scores, relevance, 1),
+                "R@5": rank_at_k(scores, relevance, 5),
+                "R@10": rank_at_k(scores, relevance, 10),
+                "mAP": mean_average_precision(scores, relevance),
+                "AP@8": ap_at_n(scores, labels, labels, 8),
+            }
+            again = run_retrieval(model, corpus, "test", direction, refined, 0.5)
+            assert again.metrics == res.metrics
+    with pytest.raises(ValueError, match="n=9"):
+        score_split(text, image, labels, bank, ap_n=9)

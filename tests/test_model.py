@@ -138,10 +138,13 @@ def test_read_checkpoint_validation(tmp_path):
     with pytest.raises(ValueError, match="unsupported version 1"):
         load_checkpoint(str(v1), model.named_parameters())
 
+    whole = open(path, "rb").read()
     truncated = tmp_path / "short.ckpt"
-    truncated.write_bytes(open(path, "rb").read()[:-16])
-    with pytest.raises(ValueError, match="truncated"):
-        read_checkpoint(str(truncated))
+    for cut, record in ((0, "header"), (7, "header"), (15, "header"),
+                        (20, "manifest"), (len(whole) - 16, "array 'reference.bank'")):
+        truncated.write_bytes(whole[:cut])
+        with pytest.raises(ValueError, match=f"checkpoint: truncated in {record}"):
+            read_checkpoint(str(truncated))
 
 
 def test_load_checkpoint_validation(tmp_path):

@@ -146,6 +146,8 @@ def test_masked_eval_contract(tmp_path):
     assert out["positions"] > 0
     again = masked_eval(model, corpus, split="train", ratio=0.5, seed=0)
     assert out == again
+    with pytest.raises(ValueError, match="'dev'"):
+        masked_eval(model, corpus, split="dev")
 
     empty_tests = generate_corpus(CorpusConfig(
         n_train_identities=2, n_test_identities=1, pairs_per_identity=1,
@@ -155,6 +157,12 @@ def test_masked_eval_contract(tmp_path):
         empty_tests, seed=0)
     with pytest.raises(ValueError, match="no maskable"):
         masked_eval(blind, empty_tests, split="train")
+    blind_cfg = replace(cfg, corpus=empty_tests.config, encoder=blind.cfg,
+                        batch_identities=2, batch_pairs=1).with_variant("C")
+    batch = sample_batch(empty_tests, 2, 1, seed=0)
+    schedule = ScheduleConfig(1e-3, 1, 3, 1)
+    with pytest.raises(ValueError, match="maskable"):
+        train_step(blind, Adam(blind.parameters()), batch, blind_cfg, schedule, step=1)
 
 
 def test_ablation_report_structure(tmp_path):
@@ -174,6 +182,10 @@ def test_ablation_report_structure(tmp_path):
     c = next(v for v in report["variants"] if v["variant"] == "C")
     w0 = next(s for s in report["sweep"] if s["w"] == 0.0)
     assert w0["per_seed"][0] == c["per_seed"][0]
+    # Full reranks C's model at the trained weight, which the grid holds
+    full = next(v for v in report["variants"] if v["variant"] == "Full")
+    w5 = next(s for s in report["sweep"] if s["w"] == cfg.loss.refine_weight)
+    assert w5["per_seed"][0] == full["per_seed"][0]
 
     json_path, csv_path = write_ablation_report(report, str(tmp_path / "rep"))
     assert json.load(open(json_path))["seeds"] == [0]
