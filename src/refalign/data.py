@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -322,6 +324,22 @@ def _read_pair(f: io.BufferedReader, record: str) -> Pair:
     return Pair(ident, image, tokens, dropped, swapped)
 
 
+@contextmanager
+def atomic_write(path: str):
+    """Binary file handle on `<path>.tmp`, moved onto path with os.replace
+    once the block ends; if the block raises, the temp file is removed
+    and whatever was at path stays as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_corpus(corpus: Corpus, path: str) -> None:
     """Little-endian flat file: magic, config echo, objects, pair records."""
     buf = io.BytesIO()
@@ -338,7 +356,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
         _write_pair(buf, p)
     for p in corpus.test_pairs:
         _write_pair(buf, p)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(buf.getvalue())
 
 

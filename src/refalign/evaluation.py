@@ -1,8 +1,12 @@
 """Retrieval metrics and the end-to-end scoring pipeline.
 
 Rankings sort scores descending with ties broken by lower gallery index,
-which keeps every number bit-reproducible.  R@K and AP@N are
-percentages; mAP lives in [0, 1].
+which keeps every number bit-reproducible.  `ranking` gets that order
+from an unstable vectorised argsort per block of RANK_BLOCK query rows,
+then re-orders only the tied runs, so it returns exactly what a stable
+sort would at the unstable sort's speed.  Ties are not rare: duplicate
+captions encode to identical text features, so every i2t row holds tied
+gallery scores.  R@K and AP@N are percentages; mAP lives in [0, 1].
 """
 from __future__ import annotations
 
@@ -16,15 +20,54 @@ from .data import Corpus
 DEFAULT_AP_N = 50
 # pairs per forward pass when encoding a split or masked captions
 ENCODE_CHUNK = 64
+# query rows per argsort in ranking
+RANK_BLOCK = 256
 
 
 def ranking(scores: np.ndarray) -> np.ndarray:
     """Per-query gallery permutation, best first; equal scores keep index
-    order."""
+    order, exactly as np.argsort(-scores, axis=1, kind="stable") orders
+    them.
+
+    Each block of RANK_BLOCK rows gets the unstable vectorised argsort;
+    then only the members of tied runs (adjacent equal values in the
+    sorted row, -0.0 == 0.0 included) are re-ordered by (run, gallery
+    index) with one integer sort.  Non-finite scores are refused, since
+    the repair keys on == and NaN equals nothing.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ValueError(f"ranking: need a non-empty score matrix, got shape {scores.shape}")
-    return np.argsort(-scores, axis=1, kind="stable")
+    nq, ng = scores.shape
+    order = np.empty((nq, ng), dtype=np.intp)
+    for lo in range(0, nq, RANK_BLOCK):
+        neg = -scores[lo:lo + RANK_BLOCK]
+        # flat positions in the block, so one 1-d gather reads the sorted row
+        off = np.arange(0, neg.size, ng)[:, None]
+        idx = np.argsort(neg, axis=1)
+        idx += off
+        vals = np.take(neg, idx)
+        # -inf sorts first, +inf and NaN last, so the row ends show them all
+        finite = np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
+        if not finite.all():
+            raise ValueError(f"ranking: query row {lo + int(np.argmin(finite))} "
+                             f"holds a non-finite score")
+        tie = vals[:, 1:] == vals[:, :-1]
+        if tie.any():
+            member = np.zeros(idx.shape, dtype=bool)
+            member[:, 1:] = tie
+            member[:, :-1] |= tie
+            opens = member.copy()
+            opens[:, 1:] &= ~tie
+            pos = np.flatnonzero(member)
+            # runs sit in position order and each lies in one row, so sorting
+            # (run, flat position) keys puts every run's members back on its
+            # own positions, lowest gallery index first
+            run = np.cumsum(np.take(opens, pos))
+            key = np.sort(run * neg.size + np.take(idx, pos))
+            np.put(idx, pos, key - run * neg.size)
+        np.subtract(idx, off, out=order[lo:lo + RANK_BLOCK])
+    return order
 
 
 def _check_relevance(order: np.ndarray, relevance: np.ndarray) -> np.ndarray:

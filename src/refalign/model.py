@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .data import Corpus, PairBatch, STREAM_MODEL, derive_rng
+from .data import Corpus, PairBatch, STREAM_MODEL, atomic_write, derive_rng
 from .encoders import EncodedBatch, EncoderConfig, ImageEncoder, TextEncoder
 from .reference import LocalReconstructor, ReferenceBank
 from .tensor import Adam, ShapeError, Tensor
@@ -93,7 +93,7 @@ def save_checkpoint(path: str, params: dict[str, Tensor], step: int,
         offset += arr.size * 8
     manifest = json.dumps({"step": int(step), "meta": meta, "arrays": entries},
                           sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<II", _CKPT_VERSION, len(manifest)))
         f.write(manifest)

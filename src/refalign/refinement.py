@@ -43,19 +43,27 @@ def reference_similarity(query_feats: np.ndarray, gallery_feats: np.ndarray,
     return cosine_scores(q, g)
 
 
+def _check_weight(weight: float) -> None:
+    if not np.isfinite(weight) or weight < 0.0:
+        raise ValueError(f"fusion: bad weight {weight}")
+
+
 def fuse_scores(base: np.ndarray, reference: np.ndarray, weight: float) -> np.ndarray:
     base = np.asarray(base, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if base.shape != reference.shape:
         raise ValueError(f"fusion: score shapes differ, {base.shape} vs {reference.shape}")
-    if not np.isfinite(weight) or weight < 0.0:
-        raise ValueError(f"fusion: bad weight {weight}")
+    _check_weight(weight)
     return base + weight * reference
 
 
 def refined_scores(query_feats: np.ndarray, gallery_feats: np.ndarray,
                    bank: np.ndarray, weight: float) -> np.ndarray:
-    """Base cosine plus w times reference-space cosine."""
+    """Base cosine plus w times reference-space cosine, bitwise equal to
+    fuse_scores but fused in place on the two matrices built here."""
+    _check_weight(weight)
     base = cosine_scores(query_feats, gallery_feats)
     ref = reference_similarity(query_feats, gallery_feats, bank)
-    return fuse_scores(base, ref, weight)
+    ref *= weight
+    base += ref
+    return base

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from refalign import data
 from refalign.data import (BOS_ID, EOS_ID, MASK_ID, N_SPECIAL, PAD_ID,
                            CorpusConfig, Tokenizer, derive_rng,
                            generate_corpus, load_corpus, sample_batch,
@@ -256,3 +257,31 @@ def test_load_names_the_record_a_cut_file_ends_in(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=f"corpus file: truncated in {record}$"):
             load_corpus(str(path))
+
+
+def test_save_corpus_replaces_the_file_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.bin"
+    save_corpus(generate_corpus(_cfg()), str(path))
+    before = path.read_bytes()
+
+    class HalfWrite:
+        # a file whose write stores half of its bytes, then fails
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, blob):
+            self.f.write(blob[:len(blob) // 2])
+            raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(data, "open", lambda p, mode: HalfWrite(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(generate_corpus(_cfg(seed=1)), str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.bin"]

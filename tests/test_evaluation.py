@@ -11,9 +11,10 @@ import pytest
 from refalign import refinement
 from refalign.config import RunConfig
 from refalign.data import CorpusConfig, derive_rng, generate_corpus
-from refalign.evaluation import (ENCODE_CHUNK, ap_at_n, encode_split,
-                                 mean_average_precision, rank_at_k, ranking,
-                                 run_retrieval, score_split)
+from refalign.evaluation import (ENCODE_CHUNK, RANK_BLOCK, ap_at_n,
+                                 encode_split, mean_average_precision,
+                                 rank_at_k, ranking, run_retrieval,
+                                 score_split)
 from refalign.model import EncoderConfig, model_for_corpus
 
 
@@ -85,6 +86,61 @@ def test_tied_scores_prefer_lower_gallery_index():
                           [True, False, False, False]])
     assert rank_at_k(scores, relevance, 1) == 50.0
     assert mean_average_precision(scores, relevance) == (0.25 + 1.0) / 2
+
+
+def _tie_heavy_cases():
+    rng = derive_rng(36, 98)
+    cases = {f"rounded to {d} decimals": np.round(rng.normal(size=(40, 30)), d)
+             for d in (0, 1, 2)}
+    base = np.round(rng.normal(size=(40, 12)), 3)
+    cases["duplicated columns"] = base[:, rng.integers(0, 12, size=50)]
+    cases["all-equal rows"] = np.full((5, 9), 0.25)
+    signed = rng.choice([0.0, -0.0, 1.0, -1.0], size=(30, 20))
+    assert np.signbit(signed[signed == 0.0]).any()
+    cases["0.0 mixed with -0.0"] = signed
+    cases["one column"] = rng.normal(size=(7, 1))
+    cases["one row"] = np.round(rng.normal(size=(1, 60)), 1)
+    for n in (RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1):
+        cases[f"{n} rows"] = np.round(rng.normal(size=(n, 25)), 1)
+    cases["float32"] = np.round(rng.normal(size=(30, 40)), 1).astype(np.float32)
+    cases["integer"] = rng.integers(-3, 4, size=(30, 40))
+    cases["transposed"] = np.round(rng.normal(size=(40, RANK_BLOCK + 3)), 1).T
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_tie_heavy_cases()))
+def test_ranking_equals_stable_argsort_on_ties(name):
+    scores = _tie_heavy_cases()[name]
+    order = ranking(scores)
+    assert order.shape == scores.shape
+    assert np.array_equal(order, np.argsort(-scores, axis=1, kind="stable"))
+
+
+def test_ranking_equals_stable_argsort_on_corpus_i2t():
+    # duplicate captions encode to identical text features, so every image
+    # query sees tied gallery scores
+    cc = CorpusConfig(n_train_identities=4, n_test_identities=75,
+                      pairs_per_identity=4, n_slots=3, values_per_slot=5,
+                      background_dims=4, p_drop=0.5, seed=8)
+    corpus = generate_corpus(cc)
+    model = model_for_corpus(EncoderConfig(d=16, image_input_dim=cc.image_dim),
+                             corpus, seed=2)
+    text, image, _ = encode_split(model, corpus, "test")
+    scores = refinement.cosine_scores(image, text)
+    assert scores.shape[0] > RANK_BLOCK
+    ranked = np.sort(scores, axis=1)
+    assert (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).all()
+    assert np.array_equal(ranking(scores), np.argsort(-scores, axis=1, kind="stable"))
+
+
+def test_ranking_refuses_non_finite_scores():
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, RANK_BLOCK - 1, RANK_BLOCK + 2):
+            scores = np.zeros((RANK_BLOCK + 5, 6))
+            scores[row, 3] = bad
+            scores[-1, 0] = np.nan       # a later bad row is not the one named
+            with pytest.raises(ValueError, match=f"query row {row} holds a non-finite"):
+                ranking(scores)
 
 
 def test_recall_is_monotone_in_k():

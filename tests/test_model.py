@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,21 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     save_checkpoint(again, other.named_parameters(), step=17, meta=meta,
                     optimizer=other_opt)
     assert open(path, "rb").read() == open(again, "rb").read()
+
+
+def test_save_checkpoint_replaces_the_file_atomically(tmp_path):
+    corpus = _corpus()
+    model, opt = _trained_state(corpus)
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(str(path), model.named_parameters(), step=3, meta={}, optimizer=opt)
+    before = path.read_bytes()
+    # the second array cannot become float64, so the write stops after the first
+    params = {"a": SimpleNamespace(data=np.ones(4)),
+              "b": SimpleNamespace(data=np.array(["x"], dtype=object))}
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), params, step=4, meta={})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
 
 def test_read_checkpoint_validation(tmp_path):

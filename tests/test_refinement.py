@@ -38,8 +38,11 @@ def test_orthonormal_bank_preserves_cosines():
 
 
 def test_fusion_arithmetic():
-    out = fuse_scores(np.array([[0.6]]), np.array([[0.4]]), 0.5)
+    base, ref = np.array([[0.6]]), np.array([[0.4]])
+    out = fuse_scores(base, ref, 0.5)
     np.testing.assert_array_equal(out, [[0.8]])
+    np.testing.assert_array_equal(base, [[0.6]])     # arguments untouched
+    np.testing.assert_array_equal(ref, [[0.4]])
 
 
 def test_zero_weight_keeps_base_ranking():
@@ -65,6 +68,8 @@ def test_weight_validation():
         fuse_scores(s, s, float("nan"))
     with pytest.raises(ValueError):
         fuse_scores(s, np.ones((2, 3)), 0.5)
+    with pytest.raises(ValueError, match="bad weight"):
+        refined_scores(s, s, s, -0.5)
 
 
 def test_shape_validation():
@@ -90,3 +95,12 @@ def test_refined_equals_manual_fusion():
     bank = derive_rng(55, 96, 11).normal(size=(6, 8))
     manual = cosine_scores(q, g) + 0.3 * reference_similarity(q, g, bank)
     np.testing.assert_array_equal(refined_scores(q, g, bank, 0.3), manual)
+    # refined_scores fuses in place; it must stay bitwise equal to
+    # fuse_scores and leave the caller's arrays alone
+    kept = (q.copy(), g.copy(), bank.copy())
+    for w in (0.0, 0.3, 0.5, 1.7):
+        expect = fuse_scores(cosine_scores(q, g), reference_similarity(q, g, bank), w)
+        assert np.array_equal(refined_scores(q, g, bank, w), expect)
+    for before, after in zip(kept, (q, g, bank)):
+        assert np.array_equal(before, after)
+
