@@ -14,7 +14,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -171,11 +171,6 @@ class Corpus:
     def train_identities(self) -> list[int]:
         return list(range(self.config.n_train_identities))
 
-    @property
-    def test_identities(self) -> list[int]:
-        n = self.config.n_train_identities
-        return list(range(n, n + self.config.n_test_identities))
-
     def split_pairs(self, split: str) -> list[Pair]:
         """The non-empty "train" or "test" split; anything else is an error."""
         if split not in ("train", "test"):
@@ -287,11 +282,7 @@ def sample_batch(corpus: Corpus, identities_per_batch: int,
 # ----------------------------------------------------------------- file io
 
 def _config_json(cfg: CorpusConfig) -> bytes:
-    d = {k: getattr(cfg, k) for k in (
-        "n_train_identities", "n_test_identities", "pairs_per_identity",
-        "n_slots", "values_per_slot", "p_drop", "p_swap",
-        "image_noise_sigma", "background_dims", "seed")}
-    return json.dumps(d, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode()
 
 
 def _write_pair(buf: io.BytesIO, p: Pair) -> None:

@@ -193,10 +193,10 @@ class TextEncoder:
             eos = np.flatnonzero(s == EOS_ID)
             pooled_at[i] = eos[0] if eos.size else s.size - 1
         pos = np.broadcast_to(np.arange(L), (B, L))
-        x = T.add(T.embedding(self.tok_emb, ids), T.embedding(self.pos_emb, pos))
+        x = T.add(T.take(self.tok_emb, ids), T.take(self.pos_emb, pos))
         for block in self.blocks:
             x = block(x, key_mask=mask)
-        pooled = T.l2_normalize(T.take_per_row(x, pooled_at))
+        pooled = T.l2_normalize(T.take(x, np.arange(B), pooled_at))
         return pooled, x, mask
 
     def encode(self, seq) -> tuple[Tensor, Tensor]:
@@ -226,11 +226,6 @@ class ImageEncoder:
             raise T.ShapeError(f"image encoder: expected (B, {self.cfg.image_input_dim}), got {x.shape}")
         h = T.tanh(linear(x, self.w1, self.b1))
         return T.l2_normalize(linear(h, self.w2, self.b2))
-
-    def encode(self, feat) -> Tensor:
-        """-> (d,) for one raw feature vector."""
-        g = self.encode_batch(np.asarray(feat)[None, :])
-        return T.reshape(g, (self.cfg.d,))
 
 
 @dataclass

@@ -83,8 +83,8 @@ def contrastive_loss(s_pos: Tensor, s_neg: Tensor, cfg: LossConfig) -> Tensor:
 
 
 def _partitioned_loss(sim: Tensor, part: PairPartition, cfg: LossConfig) -> Tensor:
-    s_pos = T.take_elements(sim, part.pos_rows, part.pos_cols)
-    s_neg = T.take_elements(sim, part.neg_rows, part.neg_cols)
+    s_pos = T.take(sim, part.pos_rows, part.pos_cols)
+    s_neg = T.take(sim, part.neg_rows, part.neg_cols)
     return contrastive_loss(s_pos, s_neg, cfg)
 
 
@@ -118,7 +118,7 @@ def _bank_similarity(bank, reps: Tensor, labels: np.ndarray, cfg: LossConfig,
     if detach == "features":
         sim = T.cosine_matrix(refs, T.stop_gradient(reps))
     elif detach == "references":
-        sim = T.transpose(T.cosine_matrix(reps, T.stop_gradient(refs)))
+        sim = T.permute(T.cosine_matrix(reps, T.stop_gradient(refs)), (1, 0))
     else:
         raise ValueError(f"unknown detach side {detach!r}")
     return sim, ref_ids
@@ -162,7 +162,7 @@ def rec_loss(probs: Tensor, targets) -> Tensor:
         return Tensor(0.0)
     if targets.min() < 0 or targets.max() >= probs.shape[1]:
         raise ValueError(f"rec_loss: target outside [0, {probs.shape[1]})")
-    picked = T.take_per_row(probs, targets)
+    picked = T.take(probs, np.arange(targets.size), targets)
     return T.scale(T.mean_all(T.log(T.shift(picked, 1e-300))), -1.0)
 
 

@@ -54,7 +54,7 @@ class ReferenceBank:
     def rows_for(self, labels) -> Tensor:
         """Gather rows by identity label; gradients accumulate across
         duplicate labels."""
-        return T.take_rows(self.ref, self.row_index(labels))
+        return T.take(self.ref, self.row_index(labels))
 
     def matrix(self) -> np.ndarray:
         return self.ref.data
@@ -99,13 +99,6 @@ def mask_tokens(tokens, ratio: float, rng) -> MaskedText:
 
 # ----------------------------------------------------------- reconstruction
 
-@dataclass
-class ReconstructionOutput:
-    hidden: Tensor    # (B, L, d) decoder states
-    selected: Tensor  # (|M|, d) states at the masked positions
-    probs: Tensor     # (|M|, V) rows sum to one
-
-
 class ReferenceStage:
     """Adds the projected reference to every position, then a feed-forward.
 
@@ -128,10 +121,10 @@ class ReferenceStage:
 
     def __call__(self, x: Tensor, values: Tensor) -> Tensor:
         """x: (B, L, d) token states; values: (B, d) projected references."""
-        B, L, d = x.shape
-        per_position = np.repeat(np.arange(B), L)
-        injected = T.take_rows(linear(values, self.wo, self.bo), per_position)
-        return self.ffn(T.add(x, T.reshape(injected, (B, L, d))))
+        B, L, _ = x.shape
+        per_position = np.broadcast_to(np.arange(B)[:, None], (B, L))
+        injected = T.take(linear(values, self.wo, self.bo), per_position)
+        return self.ffn(T.add(x, injected))
 
 
 class LocalReconstructor:
@@ -175,10 +168,11 @@ class LocalReconstructor:
 
     def __call__(self, token_states: Tensor, references: Tensor,
                  mask_rows, mask_cols,
-                 key_mask: np.ndarray | None = None) -> ReconstructionOutput:
+                 key_mask: np.ndarray | None = None) -> Tensor:
         """token_states: (B, L, d) encoder output of the masked batch;
         references: (B, d), each sample's own identity row;
-        mask_rows/mask_cols: flat index lists of the masked positions."""
+        mask_rows/mask_cols: flat index lists of the masked positions.
+        -> (|M|, V) vocabulary probabilities, one row per masked position."""
         if token_states.ndim != 3 or token_states.shape[2] != self.d:
             raise T.ShapeError(f"reconstructor: token states {token_states.shape}, want (B, L, {self.d})")
         B, L, d = token_states.shape
@@ -195,8 +189,5 @@ class LocalReconstructor:
         x = linear(token_states, self.w_in, self.b_in)
         for self_block, ref_stage in self.stages:
             x = ref_stage(self_block(x, key_mask=key_mask), values)
-        flat = T.reshape(x, (B * L, d))
-        selected = T.take_rows(flat, mask_rows * L + mask_cols)
-        logits = linear(selected, self.w_head, self.b_head)
-        return ReconstructionOutput(hidden=x, selected=selected,
-                                    probs=T.row_softmax(logits))
+        selected = T.take(x, mask_rows, mask_cols)
+        return T.row_softmax(linear(selected, self.w_head, self.b_head))

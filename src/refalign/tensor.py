@@ -9,7 +9,9 @@ here mutates an array that belongs to a live node.
 All operators validate shapes up front and reject any non-finite result,
 naming the operator that produced it.  Row-wise operators (softmax,
 layer norm, L2 normalization, ...) act on the last axis and accept any
-number of leading batch axes.
+number of leading batch axes.  Every lookup (token and position
+embeddings, EOS pooling, reference rows, masked positions, the pairs of
+a similarity matrix) is the one gather, take().
 """
 from __future__ import annotations
 
@@ -20,11 +22,9 @@ Array = np.ndarray
 __all__ = [
     "Tensor", "ShapeError", "NumericsError", "GraphError",
     "parameter", "backward",
-    "add", "sub", "mul", "scale", "shift", "matmul", "transpose", "permute",
-    "reshape", "log", "tanh", "softplus", "row_softmax",
-    "layer_norm", "l2_normalize", "embedding",
-    "concat_rows", "sum_all", "mean_all",
-    "take_rows", "take_per_row", "take_elements", "stop_gradient",
+    "add", "mul", "scale", "shift", "matmul", "permute", "reshape",
+    "log", "tanh", "softplus", "row_softmax", "layer_norm", "l2_normalize",
+    "concat_rows", "sum_all", "mean_all", "take", "stop_gradient",
     "cosine_matrix",
     "Adam", "ScheduleConfig", "lr_at", "finite_difference_check",
 ]
@@ -107,9 +107,6 @@ class Tensor:
     # a little sugar; everything desugars to the module-level operators
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -210,13 +207,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    return Tensor._result("sub", a.data - b.data, (a, b),
-                          (lambda g: g, lambda g: -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
@@ -264,12 +254,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ np.swapaxes(b.data, -1, -2)
 
     return Tensor._result("matmul", a.data @ b.data, (a, b), (vjp_a, vjp_b))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return Tensor._result("transpose", a.data.T.copy(), (a,), (lambda g: g.T,))
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -364,25 +348,6 @@ def l2_normalize(a: Tensor) -> Tensor:
 
 # ------------------------------------------------------- structure movers
 
-def embedding(table: Tensor, ids: Array) -> Tensor:
-    """Row lookup: out[..., :] = table[ids[...]]."""
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError("embedding: ids must be integers")
-    if table.ndim != 2:
-        raise ShapeError(f"embedding: table must be a matrix, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(f"embedding: id out of range for table of {table.shape[0]} rows")
-    out = table.data[ids]
-
-    def vjp(g, ids=ids, shape=table.shape):
-        gt = np.zeros(shape, dtype=np.float64)
-        np.add.at(gt, ids.ravel(), g.reshape(-1, shape[1]))
-        return gt
-
-    return Tensor._result("embedding", out, (table,), (vjp,))
-
-
 def concat_rows(tensors) -> Tensor:
     """Concatenate along axis 0."""
     tensors = list(tensors)
@@ -417,62 +382,30 @@ def mean_all(a: Tensor) -> Tensor:
                           (lambda g, shape=a.shape: np.broadcast_to(g / n, shape),))
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows by index along axis 0; duplicate indices accumulate
-    gradient."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows: index must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows")
-    out = a.data[idx]
+def take(a: Tensor, *index) -> Tensor:
+    """Gather: out = a[index].  One integer index array per leading axis,
+    broadcast together; the remaining axes come along whole.  Duplicate
+    indices accumulate gradient."""
+    index = tuple(np.asarray(i) for i in index)
+    if not 0 < len(index) <= a.ndim:
+        raise ShapeError(f"take: {len(index)} index arrays for shape {a.shape}")
+    for axis, i in enumerate(index):
+        if not np.issubdtype(i.dtype, np.integer):
+            raise ShapeError(f"take: index on axis {axis} must be integers, got {i.dtype}")
+        if i.size and (i.min() < 0 or i.max() >= a.shape[axis]):
+            raise ShapeError(f"take: index out of range on axis {axis} of {a.shape}")
+    try:
+        np.broadcast_shapes(*(i.shape for i in index))
+    except ValueError:
+        raise ShapeError(f"take: index shapes {[i.shape for i in index]} do not broadcast") from None
+    out = a.data[index]
 
-    def vjp(g, idx=idx, shape=a.shape):
+    def vjp(g, index=index, shape=a.shape):
         z = np.zeros(shape, dtype=np.float64)
-        np.add.at(z, idx, g)
+        np.add.at(z, index, g)
         return z
 
-    return Tensor._result("take_rows", out, (a,), (vjp,))
-
-
-def take_per_row(a: Tensor, idx) -> Tensor:
-    """out[i] = a[i, idx[i]].  Works for (B, L) -> (B,) and
-    (B, L, d) -> (B, d)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if a.ndim < 2 or idx.shape != (a.shape[0],):
-        raise ShapeError(f"take_per_row: index shape {idx.shape} for tensor {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise ShapeError(f"take_per_row: position out of range for axis of {a.shape[1]}")
-    rows = np.arange(a.shape[0])
-    out = a.data[rows, idx]
-
-    def vjp(g, rows=rows, idx=idx, shape=a.shape):
-        z = np.zeros(shape, dtype=np.float64)
-        z[rows, idx] = g
-        return z
-
-    return Tensor._result("take_per_row", out, (a,), (vjp,))
-
-
-def take_elements(a: Tensor, rows, cols) -> Tensor:
-    """Gather a[rows[k], cols[k]] from a matrix into a vector."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if a.ndim != 2:
-        raise ShapeError(f"take_elements: expected a matrix, got {a.shape}")
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise ShapeError("take_elements: rows/cols must be matching 1-d indices")
-    if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]
-                      or cols.min() < 0 or cols.max() >= a.shape[1]):
-        raise ShapeError(f"take_elements: index out of range for shape {a.shape}")
-    out = a.data[rows, cols]
-
-    def vjp(g, rows=rows, cols=cols, shape=a.shape):
-        z = np.zeros(shape, dtype=np.float64)
-        np.add.at(z, (rows, cols), g)
-        return z
-
-    return Tensor._result("take_elements", out, (a,), (vjp,))
+    return Tensor._result("take", out, (a,), (vjp,))
 
 
 def stop_gradient(a: Tensor) -> Tensor:

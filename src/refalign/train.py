@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,7 @@ def _reconstruct_masked(model: RetrievalModel, token_seqs, labels,
                            for i, m in enumerate(masked)])
     cols = np.concatenate([m.positions for m in masked])
     targets = np.concatenate([m.targets for m in masked])
-    out = model.reconstructor(token_states, refs, rows, cols, key_mask=key_mask)
-    return out.probs, targets
+    return model.reconstructor(token_states, refs, rows, cols, key_mask=key_mask), targets
 
 
 def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,

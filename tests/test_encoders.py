@@ -185,8 +185,8 @@ def test_image_outputs_unit_norm_and_shapes():
     assert out.shape == (5, 16)
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=-1), 1.0,
                                rtol=0, atol=1e-12)
-    one = enc.encode(feats[2])
-    np.testing.assert_allclose(one.data, out.data[2], rtol=0, atol=1e-12)
+    one = enc.encode_batch(feats[2:3])
+    np.testing.assert_allclose(one.data[0], out.data[2], rtol=0, atol=1e-12)
 
 
 def test_image_validation():
@@ -197,7 +197,7 @@ def test_image_validation():
         enc.encode_batch(np.ones(10))
     # all-zero input gives the zero vector before normalization
     with pytest.raises(T.NumericsError):
-        enc.encode(np.zeros(10))
+        enc.encode_batch(np.zeros((1, 10)))
 
 
 def test_image_encoder_deterministic():

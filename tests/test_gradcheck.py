@@ -1,3 +1,4 @@
+from refalign import tensor as T
 from refalign.gradcheck import (CHECKS, TOLERANCE, corrupted_backward_error,
                                 format_report, run_checks,
                                 stop_gradient_contracts)
@@ -36,3 +37,21 @@ def test_report_formatting():
     assert "log" in text and "ok" in text
     failing = run_checks(trials=1, names=["log"], tolerance=0.0)
     assert "FAIL" in format_report(failing)
+
+
+def test_every_op_has_a_check(monkeypatch):
+    # every differentiable op the tensor module exports must build a node
+    # somewhere in the suite, so each one is finite-difference checked
+    not_ops = {"parameter", "backward", "stop_gradient", "lr_at",
+               "finite_difference_check"}
+    ops = {name for name in T.__all__ if name[0].islower() and name not in not_ops}
+    seen = set()
+    build = T.Tensor._result.__func__
+
+    def recording(cls, op, data, parents, vjps):
+        seen.add(op)
+        return build(cls, op, data, parents, vjps)
+
+    monkeypatch.setattr(T.Tensor, "_result", classmethod(recording))
+    run_checks(trials=1)
+    assert ops <= seen, f"ops without a gradcheck entry: {sorted(ops - seen)}"

@@ -170,14 +170,10 @@ def test_reconstructor_output_contract():
     states = T.Tensor(rng.normal(size=(2, 5, 8)))
     refs = T.Tensor(rng.normal(size=(2, 8)))
     rows, cols = np.array([0, 0, 1]), np.array([1, 3, 2])
-    out = recon(states, refs, rows, cols)
-    assert out.hidden.shape == (2, 5, 8)
-    assert out.selected.shape == (3, 8)
-    assert out.probs.shape == (3, 13)
-    np.testing.assert_allclose(out.probs.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert np.all(out.probs.data > 0.0)
-    flat = out.hidden.data.reshape(10, 8)
-    np.testing.assert_array_equal(out.selected.data, flat[rows * 5 + cols])
+    probs = recon(states, refs, rows, cols)
+    assert probs.shape == (3, 13)
+    np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(probs.data > 0.0)
 
 
 def test_reconstructor_uses_the_reference():
@@ -187,17 +183,17 @@ def test_reconstructor_uses_the_reference():
     rows, cols = np.array([0]), np.array([2])
     a = recon(states, T.Tensor(rng.normal(size=(1, 8))), rows, cols)
     b = recon(states, T.Tensor(rng.normal(size=(1, 8))), rows, cols)
-    assert a.probs.data.tobytes() != b.probs.data.tobytes()
+    assert a.data.tobytes() != b.data.tobytes()
 
 
 def test_reconstructor_single_token_vocabulary():
     recon = _recon(vocab=1, seed=13)
     rng = _rng(14)
-    out = recon(T.Tensor(rng.normal(size=(1, 3, 8))),
-                T.Tensor(rng.normal(size=(1, 8))),
-                np.array([0]), np.array([1]))
-    np.testing.assert_array_equal(out.probs.data, [[1.0]])
-    assert rec_loss(out.probs, [0]).item() == 0.0
+    probs = recon(T.Tensor(rng.normal(size=(1, 3, 8))),
+                  T.Tensor(rng.normal(size=(1, 8))),
+                  np.array([0]), np.array([1]))
+    np.testing.assert_array_equal(probs.data, [[1.0]])
+    assert rec_loss(probs, [0]).item() == 0.0
 
 
 def test_reconstructor_validation():
@@ -228,8 +224,7 @@ def test_reconstructor_trains_through_masked_positions():
     refs = T.parameter(rng.normal(size=(1, 4)))
 
     def f():
-        out = recon(states, refs, [0], [1])
-        return rec_loss(out.probs, [3])
+        return rec_loss(recon(states, refs, [0], [1]), [3])
 
     assert T.finite_difference_check(f, [refs, recon.w_head]) < 1e-4
 
