@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 
-from .config import (RunConfig, W_SWEEP_GRID, config_from_dict,
+from .config import (VARIANT_ORDER, RunConfig, W_SWEEP_GRID, config_from_dict,
                      full_scale_config, read_config)
 from .data import CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .evaluation import encode_split, score_split
@@ -124,6 +124,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _, meta, _ = read_checkpoint(args.checkpoint)
+    for key in ("config", "run_seed"):
+        if key not in meta:
+            raise ValueError(f"eval: checkpoint {args.checkpoint} records no {key}")
     cfg = config_from_dict(meta["config"])
     corpus = _load_corpus_arg(args) or generate_corpus(cfg.corpus)
     model = model_for_corpus(cfg.encoder, corpus, meta["run_seed"])
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                    _field_names=_add_field_flags(p, CorpusConfig))
 
     p = sub.add_parser("train", help="run one training configuration")
-    p.add_argument("--variant", choices=("Baseline", "A", "B", "C", "Full"),
+    p.add_argument("--variant", choices=VARIANT_ORDER,
                    help="apply a named ablation row's flags")
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(func=_cmd_train, _field_names=_add_run_options(p))

@@ -126,7 +126,8 @@ def trend_protocol_config(out_dir: str = "runs") -> RunConfig:
 
 # ----------------------------------------------------------------- file io
 
-_SECTIONS = ("run", "corpus", "encoder", "loss")
+# RunConfig's nested sections; [run] holds its own scalar fields
+_NESTED = {"corpus": CorpusConfig, "encoder": EncoderConfig, "loss": LossConfig}
 
 
 def _coerce(raw: str, pytype):
@@ -140,15 +141,18 @@ def _coerce(raw: str, pytype):
     return pytype(raw)
 
 
-def _fill(cls, section: configparser.SectionProxy):
+def _fill(cls, parser: configparser.ConfigParser, name: str, **nested):
+    """Build cls from section [name] (defaults where it or a key is
+    absent) plus the already-built nested sections."""
     defaults = cls()
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(cls)} - set(nested)
     kwargs = {}
+    section = parser[name] if parser.has_section(name) else {}
     for key, raw in section.items():
         if key not in known:
-            raise KeyError(f"config file: unknown key {key!r} in [{section.name}]")
+            raise KeyError(f"config file: unknown key {key!r} in [{name}]")
         kwargs[key] = _coerce(raw, type(getattr(defaults, key)))
-    return cls(**kwargs)
+    return cls(**nested, **kwargs)
 
 
 def read_config(path: str) -> RunConfig:
@@ -156,35 +160,18 @@ def read_config(path: str) -> RunConfig:
     with open(path) as f:
         parser.read_file(f)
     for sec in parser.sections():
-        if sec not in _SECTIONS:
+        if sec != "run" and sec not in _NESTED:
             raise KeyError(f"config file: unknown section [{sec}]")
-    corpus = _fill(CorpusConfig, parser["corpus"]) if parser.has_section("corpus") else CorpusConfig()
-    encoder = _fill(EncoderConfig, parser["encoder"]) if parser.has_section("encoder") else EncoderConfig()
-    loss = _fill(LossConfig, parser["loss"]) if parser.has_section("loss") else LossConfig()
-    kwargs = {}
-    if parser.has_section("run"):
-        defaults = RunConfig()
-        known = {f.name for f in dataclasses.fields(RunConfig)} - {"corpus", "encoder", "loss"}
-        for key, raw in parser["run"].items():
-            if key not in known:
-                raise KeyError(f"config file: unknown key {key!r} in [run]")
-            kwargs[key] = _coerce(raw, type(getattr(defaults, key)))
-    return RunConfig(corpus=corpus, encoder=encoder, loss=loss, **kwargs)
+    nested = {name: _fill(cls, parser, name) for name, cls in _NESTED.items()}
+    return _fill(RunConfig, parser, "run", **nested)
 
 
 def write_config(cfg: RunConfig, path: str) -> None:
     parser = configparser.ConfigParser()
-    parser["run"] = {
-        f.name: str(getattr(cfg, f.name))
-        for f in dataclasses.fields(RunConfig)
-        if f.name not in ("corpus", "encoder", "loss")
-    }
-    parser["corpus"] = {f.name: str(getattr(cfg.corpus, f.name))
-                        for f in dataclasses.fields(CorpusConfig)}
-    parser["encoder"] = {f.name: str(getattr(cfg.encoder, f.name))
-                         for f in dataclasses.fields(EncoderConfig)}
-    parser["loss"] = {f.name: str(getattr(cfg.loss, f.name))
-                      for f in dataclasses.fields(LossConfig)}
+    sections = {"run": cfg, **{name: getattr(cfg, name) for name in _NESTED}}
+    for name, obj in sections.items():
+        parser[name] = {f.name: str(getattr(obj, f.name))
+                        for f in dataclasses.fields(obj) if f.name not in _NESTED}
     with open(path, "w") as f:
         parser.write(f)
 
@@ -194,8 +181,5 @@ def config_as_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> RunConfig:
-    data = dict(payload)
-    corpus = CorpusConfig(**data.pop("corpus"))
-    encoder = EncoderConfig(**data.pop("encoder"))
-    loss = LossConfig(**data.pop("loss"))
-    return RunConfig(corpus=corpus, encoder=encoder, loss=loss, **data)
+    nested = {name: cls(**payload[name]) for name, cls in _NESTED.items()}
+    return RunConfig(**{**payload, **nested})

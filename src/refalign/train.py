@@ -40,6 +40,7 @@ class TrainResult:
     metrics_jsonl: str
     metrics_csv: str
     final_metrics: list[dict] = field(default_factory=list)
+    features: tuple | None = None   # the last eval's test (text, image, labels)
 
 
 def _report_columns(metrics: dict[str, float]) -> dict[str, float]:
@@ -109,14 +110,13 @@ def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
     return total.item()
 
 
-def _evaluate(model: RetrievalModel, corpus: Corpus, cfg: RunConfig,
+def _evaluate(model: RetrievalModel, features, cfg: RunConfig,
               step: int, jsonl_path: str, csv_path: str) -> list[dict]:
-    text, image, labels = encode_split(model, corpus, "test")
     rows = []
     refine_states = (False, True) if cfg.use_refinement else (False,)
     for refined in refine_states:
         for direction in ("t2i", "i2t"):
-            result = score_split(text, image, labels, model.bank.matrix(),
+            result = score_split(*features, model.bank.matrix(),
                                  direction, refined, cfg.loss.refine_weight)
             row = {"run_id": cfg.run_id, "seed": cfg.seed, "step": step,
                    **_report_columns(result.metrics),
@@ -192,6 +192,7 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     last_epoch = cfg.epochs if stop_after_epochs is None \
         else min(cfg.epochs, stop_after_epochs)
     final_rows: list[dict] = []
+    features = None
     for epoch in range(start_epoch + 1, last_epoch + 1):
         epoch_loss = 0.0
         for _ in range(cfg.steps_per_epoch):
@@ -205,7 +206,8 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
                                    f"(epoch {epoch}): {e}") from e
         due = cfg.eval_every and epoch % cfg.eval_every == 0
         if due or epoch == last_epoch:
-            final_rows = _evaluate(model, corpus, cfg, step, jsonl_path, csv_path)
+            features = encode_split(model, corpus, "test")
+            final_rows = _evaluate(model, features, cfg, step, jsonl_path, csv_path)
         if log is not None:
             log(f"[{cfg.run_id}] epoch {epoch}/{cfg.epochs} "
                 f"loss {epoch_loss / cfg.steps_per_epoch:.4f}"
@@ -216,7 +218,8 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     save_checkpoint(ckpt_path, params, step, meta, optimizer)
     return TrainResult(config=cfg, model=model, corpus=corpus, steps=step,
                        checkpoint_path=ckpt_path, metrics_jsonl=jsonl_path,
-                       metrics_csv=csv_path, final_metrics=final_rows)
+                       metrics_csv=csv_path, final_metrics=final_rows,
+                       features=features)
 
 
 # ------------------------------------------------------- masked-token evals
@@ -259,16 +262,37 @@ def _aggregate(rows_by_seed: list[dict]) -> dict:
     return {"mean": mean, "std": std}
 
 
-def _t2i_rows(model: RetrievalModel, corpus: Corpus, settings) -> list[dict]:
-    """Encode the test split once, then score text-to-image for each
-    (refined, w) in settings; -> one report row per setting."""
-    text, image, labels = encode_split(model, corpus, "test")
-    bank = model.bank.matrix()
-    return [_report_columns(score_split(text, image, labels, bank, "t2i", refined, w).metrics)
-            for refined, w in settings]
+def _variant_rows(cfg: RunConfig, corpus: Corpus, settings, log) -> list[tuple]:
+    """Train one variant, then score text-to-image from the features its
+    final eval encoded, for each (row, refined, w) in settings;
+    -> [(row, report row)] in settings order."""
+    result = train(cfg, corpus, log=log)
+    bank = result.model.bank.matrix()
+    return [(row, _report_columns(score_split(*result.features, bank, "t2i",
+                                              refined, w).metrics))
+            for row, refined, w in settings]
 
 
-def _sweep_entries(w_grid, rows: dict[float, list[dict]]) -> list[dict]:
+def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan, log) -> dict:
+    """Per seed, train each variant of plan once and score its settings;
+    plan is ((variant, settings), ...) -> row -> per-seed report rows."""
+    if corpus is None:
+        corpus = generate_corpus(base.corpus)
+    rows = {row: [] for _, settings in plan for row, _, _ in settings}
+    for seed in seeds:
+        cfg_s = base.with_seed(int(seed))
+        for variant, settings in plan:
+            for row, metrics in _variant_rows(cfg_s.with_variant(variant), corpus,
+                                              settings, log):
+                rows[row].append(metrics)
+    return rows
+
+
+def _sweep_settings(w_grid) -> list[tuple]:
+    return [(float(g), True, float(g)) for g in w_grid]
+
+
+def _sweep_entries(w_grid, rows: dict) -> list[dict]:
     return [{"w": g, **_aggregate(rows[float(g)]), "per_seed": rows[float(g)]}
             for g in w_grid]
 
@@ -280,33 +304,21 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     Per seed, three trainings: Baseline, A (guidance + fusion), and C
     (guidance + fusion + reconstruction).  B reranks A's model through
     the bank; Full reranks C's.  The sweep re-scores C's model across
-    w_grid.  Scores are text-to-image on the test split, and each model
-    is encoded once.
+    w_grid.  Scores are text-to-image on the test split.  Each model is
+    encoded once, by train()'s final eval, and every row is scored from
+    those features.
     """
-    if corpus is None:
-        corpus = generate_corpus(base.corpus)
     w = base.loss.refine_weight
-    variant_rows: dict[str, list[dict]] = {v: [] for v in VARIANT_ORDER}
-    sweep_rows: dict[float, list[dict]] = {float(g): [] for g in w_grid}
-    for seed in seeds:
-        cfg_s = base.with_seed(int(seed))
-        trained = {name: train(cfg_s.with_variant(name), corpus, log=log).model
-                   for name in ("Baseline", "A", "C")}
-        (baseline,) = _t2i_rows(trained["Baseline"], corpus, [(False, w)])
-        a, b = _t2i_rows(trained["A"], corpus, [(False, w), (True, w)])
-        c, full, *sweep = _t2i_rows(trained["C"], corpus,
-                                    [(False, w), (True, w)] + [(True, float(g)) for g in w_grid])
-        for name, row in (("Baseline", baseline), ("A", a), ("B", b),
-                          ("C", c), ("Full", full)):
-            variant_rows[name].append(row)
-        for g, row in zip(w_grid, sweep):
-            sweep_rows[float(g)].append(row)
+    plan = (("Baseline", [("Baseline", False, w)]),
+            ("A", [("A", False, w), ("B", True, w)]),
+            ("C", [("C", False, w), ("Full", True, w), *_sweep_settings(w_grid)]))
+    rows = _run_plan(base, seeds, corpus, plan, log)
     return {
         "seeds": [int(s) for s in seeds],
         "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(w_grid)),
-        "variants": [{"variant": v, **_aggregate(variant_rows[v]),
-                      "per_seed": variant_rows[v]} for v in VARIANT_ORDER],
-        "sweep": _sweep_entries(w_grid, sweep_rows),
+        "variants": [{"variant": v, **_aggregate(rows[v]), "per_seed": rows[v]}
+                     for v in VARIANT_ORDER],
+        "sweep": _sweep_entries(w_grid, rows),
     }
 
 
@@ -349,12 +361,7 @@ def format_ablation_table(report: dict) -> str:
 
 def sweep_w(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
             w_grid=W_SWEEP_GRID, log=None) -> dict:
-    """Train the full model per seed, then re-score across the w grid."""
-    if corpus is None:
-        corpus = generate_corpus(base.corpus)
-    rows: dict[float, list[dict]] = {float(g): [] for g in w_grid}
-    for seed in seeds:
-        model = train(base.with_seed(int(seed)).with_variant("C"), corpus, log=log).model
-        for g, row in zip(w_grid, _t2i_rows(model, corpus, [(True, float(g)) for g in w_grid])):
-            rows[float(g)].append(row)
+    """Train the full model per seed, then re-score it across the w grid
+    from the features of train()'s final eval."""
+    rows = _run_plan(base, seeds, corpus, (("C", _sweep_settings(w_grid)),), log)
     return {"seeds": [int(s) for s in seeds], "sweep": _sweep_entries(w_grid, rows)}

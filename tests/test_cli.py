@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from refalign.cli import main
 from refalign.config import RunConfig, write_config
 from refalign.data import CorpusConfig, generate_corpus, load_corpus, save_corpus
 from refalign.encoders import EncoderConfig
-from refalign.model import read_checkpoint
+from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
 
 _CC = CorpusConfig(n_train_identities=10, n_test_identities=4,
                    pairs_per_identity=2, n_slots=3, values_per_slot=5,
@@ -80,6 +81,20 @@ def test_eval_command(tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert len(lines) == 2
     assert all(l["refined"] and l["w"] == 0.3 and "AP@4" in l for l in lines)
+
+
+@pytest.mark.parametrize("missing", ["config", "run_seed"])
+def test_eval_names_a_missing_meta_field(tmp_path, missing):
+    cfg = RunConfig(corpus=_CC, encoder=EncoderConfig(d=16, n_heads=4,
+                                                      image_input_dim=_CC.image_dim),
+                    warmup_epochs=1, batch_identities=5)
+    model = model_for_corpus(cfg.encoder, generate_corpus(_CC), seed=0)
+    meta = {"run_seed": 0, "config": dataclasses.asdict(cfg)}
+    del meta[missing]
+    ckpt = str(tmp_path / "bare.ckpt")
+    save_checkpoint(ckpt, model.named_parameters(), step=0, meta=meta)
+    with pytest.raises(ValueError, match=f"records no {missing}$"):
+        main(["eval", "--checkpoint", ckpt])
 
 
 def test_ablate_command(tmp_path, capsys):

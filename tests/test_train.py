@@ -13,8 +13,9 @@ from refalign.data import CorpusConfig, generate_corpus, sample_batch
 from refalign.encoders import EncoderConfig
 from refalign.model import model_for_corpus, read_checkpoint
 from refalign.tensor import Adam, ScheduleConfig
+import refalign.train
 from refalign.train import (METRIC_COLUMNS, ablate, format_ablation_table,
-                            masked_eval, train, train_step,
+                            masked_eval, sweep_w, train, train_step,
                             write_ablation_report)
 
 _CC = CorpusConfig(n_train_identities=12, n_test_identities=6,
@@ -165,9 +166,15 @@ def test_masked_eval_contract(tmp_path):
         train_step(blind, Adam(blind.parameters()), batch, blind_cfg, schedule, step=1)
 
 
-def test_ablation_report_structure(tmp_path):
+def test_ablation_report_structure(tmp_path, monkeypatch):
+    encodes = []
+    real_encode = refalign.train.encode_split
+    monkeypatch.setattr(refalign.train, "encode_split",
+                        lambda *a: encodes.append(a[2]) or real_encode(*a))
     cfg = _cfg(tmp_path, run_id="abl")
     report = ablate(cfg, seeds=(0,))
+    # Baseline, A and C each encoded once, by train()'s final eval
+    assert encodes == ["test"] * 3
     assert report["seeds"] == [0]
     assert report["runs_aggregated"] == 1 * (5 + len(W_SWEEP_GRID))
     assert [v["variant"] for v in report["variants"]] == \
@@ -195,6 +202,10 @@ def test_ablation_report_structure(tmp_path):
 
     table = format_ablation_table(report)
     assert "Baseline" in table and "Full" in table and "0.9" in table
+
+    # sweep_w trains and encodes C once more and scores the same grid
+    assert sweep_w(cfg, seeds=(0,))["sweep"] == report["sweep"]
+    assert len(encodes) == 4
 
 
 class _RecordingAdam(Adam):
