@@ -22,8 +22,6 @@ from .model import load_checkpoint, model_for_corpus, read_checkpoint
 from .train import (ablate, format_ablation_table, sweep_w, train,
                     write_ablation_report)
 
-_NESTED = ("corpus", "encoder", "loss")
-
 
 def _add_field_flags(parser: argparse.ArgumentParser, cls) -> list[str]:
     """One flag per scalar dataclass field, default None so an absent
@@ -31,9 +29,9 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls) -> list[str]:
     defaults = cls()
     names = []
     for f in dataclasses.fields(cls):
-        if f.name in _NESTED:
-            continue
         current = getattr(defaults, f.name)
+        if dataclasses.is_dataclass(current):
+            continue            # a nested section comes from the config file
         flag = "--" + f.name.replace("_", "-")
         if isinstance(current, bool):
             parser.add_argument(flag, action=argparse.BooleanOptionalAction,

@@ -9,8 +9,8 @@ numpy's SeedSequence, so corpora regenerate bit-exactly.
 """
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -26,6 +26,10 @@ EOS_ID = 3
 N_SPECIAL = 4
 
 _CORPUS_MAGIC = b"RFCORP01"
+# v1 wrote per-pair struct records with no version field; its config
+# length sits where v2 keeps the version, so v1 files are refused
+_CORPUS_VERSION = 2
+_RAGGED = ("tokens", "dropped", "swapped")
 
 # fixed stream tags so independent consumers of one seed never collide
 STREAM_CORPUS = 11
@@ -281,40 +285,6 @@ def sample_batch(corpus: Corpus, identities_per_batch: int,
 
 # ----------------------------------------------------------------- file io
 
-def _config_json(cfg: CorpusConfig) -> bytes:
-    return json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode()
-
-
-def _write_pair(buf: io.BytesIO, p: Pair) -> None:
-    buf.write(struct.pack("<iI", p.identity_id, len(p.tokens)))
-    buf.write(np.asarray(p.tokens, dtype="<i4").tobytes())
-    buf.write(struct.pack("<I", len(p.image)))
-    buf.write(np.asarray(p.image, dtype="<f8").tobytes())
-    buf.write(struct.pack("<H", len(p.dropped)))
-    buf.write(np.asarray(p.dropped, dtype="<i2").tobytes())
-    buf.write(struct.pack("<H", len(p.swapped)))
-    buf.write(np.asarray(p.swapped, dtype="<i2").tobytes())
-
-
-def _read(f: io.BufferedReader, size: int, record: str) -> bytes:
-    raw = f.read(size)
-    if len(raw) != size:
-        raise ValueError(f"corpus file: truncated in {record}")
-    return raw
-
-
-def _read_pair(f: io.BufferedReader, record: str) -> Pair:
-    ident, ntok = struct.unpack("<iI", _read(f, 8, record))
-    tokens = np.frombuffer(_read(f, 4 * ntok, record), dtype="<i4").astype(np.int64)
-    (dim,) = struct.unpack("<I", _read(f, 4, record))
-    image = np.frombuffer(_read(f, 8 * dim, record), dtype="<f8").astype(np.float64)
-    (nd,) = struct.unpack("<H", _read(f, 2, record))
-    dropped = tuple(int(x) for x in np.frombuffer(_read(f, 2 * nd, record), dtype="<i2"))
-    (ns,) = struct.unpack("<H", _read(f, 2, record))
-    swapped = tuple(int(x) for x in np.frombuffer(_read(f, 2 * ns, record), dtype="<i2"))
-    return Pair(ident, image, tokens, dropped, swapped)
-
-
 @contextmanager
 def atomic_write(path: str):
     """Binary file handle on `<path>.tmp`, moved onto path with os.replace
@@ -331,42 +301,92 @@ def atomic_write(path: str):
         raise
 
 
-def save_corpus(corpus: Corpus, path: str) -> None:
-    """Little-endian flat file: magic, config echo, objects, pair records."""
-    buf = io.BytesIO()
-    buf.write(_CORPUS_MAGIC)
-    cfg_json = _config_json(corpus.config)
-    buf.write(struct.pack("<I", len(cfg_json)))
-    buf.write(cfg_json)
-    buf.write(struct.pack("<I", len(corpus.objects)))
-    for obj in corpus.objects:
-        buf.write(struct.pack("<iH", obj.identity_id, len(obj.attributes)))
-        buf.write(np.asarray(obj.attributes, dtype="<i2").tobytes())
-    buf.write(struct.pack("<II", len(corpus.train_pairs), len(corpus.test_pairs)))
-    for p in corpus.train_pairs:
-        _write_pair(buf, p)
-    for p in corpus.test_pairs:
-        _write_pair(buf, p)
+def save_arrays(path: str, magic: bytes, version: int, header: dict,
+                arrays: dict[str, np.ndarray]) -> None:
+    """The one file container, for corpora and checkpoints: 8-byte magic,
+    <II version and manifest length, a sorted-key JSON manifest (header
+    plus each array's name, shape and payload offset), then every array
+    as little-endian float64.  Written through atomic_write."""
+    entries = []
+    offset = 0
+    for name, arr in arrays.items():
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size * 8
+    manifest = json.dumps({**header, "arrays": entries},
+                          sort_keys=True, separators=(",", ":")).encode()
     with atomic_write(path) as f:
-        f.write(buf.getvalue())
+        f.write(magic)
+        f.write(struct.pack("<II", version, len(manifest)))
+        f.write(manifest)
+        for arr in arrays.values():
+            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def load_arrays(path: str, magic: bytes, version: int,
+                what: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """-> (header, name -> float64 array) of a save_arrays file.  Each
+    array is read straight into its own buffer, never the whole file; a
+    cut file fails naming the header, the manifest or the array it ends in."""
+    with open(path, "rb") as f:
+        head = f.read(16)
+        if len(head) < 16:
+            raise ValueError(f"{what}: truncated in header ({len(head)} of 16 bytes)")
+        if head[:8] != magic:
+            raise ValueError(f"{what}: bad magic {head[:8]!r}")
+        got, mlen = struct.unpack_from("<II", head, 8)
+        if got != version:
+            raise ValueError(f"{what}: unsupported version {got}")
+        raw = f.read(mlen)
+        if len(raw) < mlen:
+            raise ValueError(f"{what}: truncated in manifest")
+        header = json.loads(raw)
+        arrays: dict[str, np.ndarray] = {}
+        for entry in header.pop("arrays"):
+            shape = tuple(entry["shape"])
+            count = math.prod(shape)
+            f.seek(16 + mlen + entry["offset"])
+            arr = np.fromfile(f, dtype="<f8", count=count)
+            if arr.size != count:
+                raise ValueError(f"{what}: truncated in array {entry['name']!r}")
+            arrays[entry["name"]] = arr.reshape(shape)
+    return header, arrays
+
+
+def save_corpus(corpus: Corpus, path: str) -> None:
+    """save_arrays at version 2: the config in the header; `objects` rows
+    of id plus attributes; per split, `identity`, `image` (n, image_dim),
+    and each of tokens/dropped/swapped as its concatenated values plus
+    per-pair lengths (`<field>_len`).  Every integer is small, so exact
+    in float64."""
+    arrays = {"objects": np.array([(o.identity_id, *o.attributes) for o in corpus.objects],
+                                  dtype=np.float64)}
+    for split in ("train", "test"):
+        pairs = corpus.train_pairs if split == "train" else corpus.test_pairs
+        arrays[f"{split}.identity"] = np.array([p.identity_id for p in pairs], dtype=np.float64)
+        arrays[f"{split}.image"] = np.reshape([p.image for p in pairs],
+                                              (len(pairs), corpus.config.image_dim))
+        for name in _RAGGED:
+            values = [getattr(p, name) for p in pairs]
+            arrays[f"{split}.{name}"] = np.concatenate([np.zeros(0), *values])
+            arrays[f"{split}.{name}_len"] = np.array([len(v) for v in values], dtype=np.float64)
+    save_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, {"config": asdict(corpus.config)}, arrays)
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a save_corpus file; a cut file fails naming the record it ends in."""
-    with open(path, "rb") as f:
-        magic = _read(f, 8, "header")
-        if magic != _CORPUS_MAGIC:
-            raise ValueError(f"corpus file: bad magic {magic!r}")
-        (n,) = struct.unpack("<I", _read(f, 4, "header"))
-        cfg = CorpusConfig(**json.loads(_read(f, n, "config")))
-        (nobj,) = struct.unpack("<I", _read(f, 4, "object count"))
-        objects = []
-        for i in range(nobj):
-            ident, natt = struct.unpack("<iH", _read(f, 6, f"object {i}"))
-            attrs = tuple(int(x) for x in np.frombuffer(_read(f, 2 * natt, f"object {i}"),
-                                                        dtype="<i2"))
-            objects.append(ObjectSpec(ident, attrs))
-        ntrain, ntest = struct.unpack("<II", _read(f, 8, "pair counts"))
-        train_pairs = [_read_pair(f, f"train pair {i}") for i in range(ntrain)]
-        test_pairs = [_read_pair(f, f"test pair {i}") for i in range(ntest)]
-    return Corpus(cfg, objects, train_pairs, test_pairs)
+    """Read a save_corpus file; a cut file fails naming the header, the
+    manifest or the array it ends in."""
+    header, arrays = load_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, "corpus file")
+    objects = [ObjectSpec(row[0], tuple(row[1:]))
+               for row in arrays["objects"].astype(np.int64).tolist()]
+    splits = []
+    for split in ("train", "test"):
+        ragged = []
+        for name in _RAGGED:
+            values = arrays[f"{split}.{name}"].astype(np.int64)
+            ends = np.cumsum(arrays[f"{split}.{name}_len"].astype(np.int64))
+            ragged.append(np.split(values, ends[:-1]))
+        idents = arrays[f"{split}.identity"].astype(np.int64).tolist()
+        splits.append([Pair(ident, image, tokens, tuple(dropped.tolist()), tuple(swapped.tolist()))
+                       for ident, image, tokens, dropped, swapped
+                       in zip(idents, arrays[f"{split}.image"], *ragged)])
+    return Corpus(CorpusConfig(**header["config"]), objects, *splits)

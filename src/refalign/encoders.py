@@ -199,12 +199,6 @@ class TextEncoder:
         pooled = T.l2_normalize(T.take(x, np.arange(B), pooled_at))
         return pooled, x, mask
 
-    def encode(self, seq) -> tuple[Tensor, Tensor]:
-        """-> (global (d,), token states (L, d)) for one sequence."""
-        g, tokens, _ = self.encode_batch([seq])
-        L = tokens.shape[1]
-        return T.reshape(g, (self.cfg.d,)), T.reshape(tokens, (L, self.cfg.d))
-
 
 class ImageEncoder:
     """Two-layer tanh perceptron onto the shared unit sphere."""

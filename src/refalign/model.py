@@ -2,18 +2,16 @@
 
 A retrieval model is both encoders, the reconstruction network, and the
 reference bank, initialized from one seed through a fixed stream so
-construction order never shifts.  Checkpoints are flat binary: magic,
-version, a JSON manifest of (name, shape, offset), then little-endian
-float64 payloads.
+construction order never shifts.  Checkpoints use the data module's
+file container (save_arrays): magic, version, a JSON manifest of step,
+meta and (name, shape, offset), then little-endian float64 payloads.
 """
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
 
-from .data import Corpus, PairBatch, STREAM_MODEL, atomic_write, derive_rng
+from .data import (Corpus, PairBatch, STREAM_MODEL, derive_rng, load_arrays,
+                   save_arrays)
 from .encoders import EncodedBatch, EncoderConfig, ImageEncoder, TextEncoder
 from .reference import LocalReconstructor, ReferenceBank
 from .tensor import Adam, ShapeError, Tensor
@@ -85,47 +83,14 @@ def _array_table(params: dict[str, Tensor], optimizer: Adam | None) -> dict[str,
 
 def save_checkpoint(path: str, params: dict[str, Tensor], step: int,
                     meta: dict, optimizer: Adam | None = None) -> None:
-    table = _array_table(params, optimizer)
-    entries = []
-    offset = 0
-    for name, arr in table.items():
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
-    manifest = json.dumps({"step": int(step), "meta": meta, "arrays": entries},
-                          sort_keys=True, separators=(",", ":")).encode()
-    with atomic_write(path) as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<II", _CKPT_VERSION, len(manifest)))
-        f.write(manifest)
-        for arr in table.values():
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    save_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, {"step": int(step), "meta": meta},
+                _array_table(params, optimizer))
 
 
 def read_checkpoint(path: str) -> tuple[int, dict, dict[str, np.ndarray]]:
     """-> (step, meta, name -> array); validates framing, not shapes."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16:
-        raise ValueError(f"checkpoint: truncated in header ({len(blob)} of 16 bytes)")
-    if blob[:8] != _CKPT_MAGIC:
-        raise ValueError(f"checkpoint: bad magic {blob[:8]!r}")
-    version, mlen = struct.unpack_from("<II", blob, 8)
-    if version != _CKPT_VERSION:
-        raise ValueError(f"checkpoint: unsupported version {version}")
-    if len(blob) < 16 + mlen:
-        raise ValueError("checkpoint: truncated in manifest")
-    manifest = json.loads(blob[16:16 + mlen])
-    payload = blob[16 + mlen:]
-    arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        raw = payload[start:start + count * 8]
-        if len(raw) != count * 8:
-            raise ValueError(f"checkpoint: truncated in array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return int(manifest["step"]), manifest["meta"], arrays
+    header, arrays = load_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
+    return int(header["step"]), header["meta"], arrays
 
 
 def load_checkpoint(path: str, params: dict[str, Tensor],

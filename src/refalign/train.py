@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,6 +189,11 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
                              f"!= config seed {cfg.seed}")
         _check_resume_config(meta, cfg)
         start_epoch = step // cfg.steps_per_epoch
+    else:
+        # a fresh run starts its metrics files empty; only a resume appends
+        for path in (jsonl_path, csv_path):
+            with suppress(FileNotFoundError):
+                os.remove(path)
 
     last_epoch = cfg.epochs if stop_after_epochs is None \
         else min(cfg.epochs, stop_after_epochs)

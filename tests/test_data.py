@@ -1,4 +1,10 @@
 """Synthetic corpus: generation, ambiguity injection, batching, storage."""
+import json
+import math
+import re
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -218,44 +224,76 @@ def test_batch_validation():
 # ------------------------------------------------------------------- storage
 
 def test_save_load_round_trip(tmp_path):
-    corpus = generate_corpus(_cfg())
-    path = tmp_path / "corpus.bin"
-    save_corpus(corpus, str(path))
-    loaded = load_corpus(str(path))
-    assert loaded.config == corpus.config
-    assert [o.attributes for o in loaded.objects] == \
-        [o.attributes for o in corpus.objects]
-    for pa, pb in zip(corpus.train_pairs + corpus.test_pairs,
-                      loaded.train_pairs + loaded.test_pairs):
-        assert pa.identity_id == pb.identity_id
-        assert pa.tokens.dtype == pb.tokens.dtype == np.int64
-        np.testing.assert_array_equal(pa.image, pb.image)
-        np.testing.assert_array_equal(pa.tokens, pb.tokens)
-        assert pa.dropped == pb.dropped and pa.swapped == pb.swapped
-    again = tmp_path / "again.bin"
-    save_corpus(loaded, str(again))
-    assert path.read_bytes() == again.read_bytes()
+    # the default mix, an empty test split, and captions with no slot tokens
+    for changes in ({}, {"n_test_identities": 0}, {"p_drop": 1.0}):
+        corpus = generate_corpus(_cfg(**changes))
+        path = tmp_path / "corpus.bin"
+        save_corpus(corpus, str(path))
+        loaded = load_corpus(str(path))
+        assert loaded.config == corpus.config
+        assert loaded.objects == corpus.objects
+        assert all(type(o.identity_id) is int and all(type(a) is int for a in o.attributes)
+                   for o in loaded.objects)
+        assert [len(loaded.train_pairs), len(loaded.test_pairs)] == \
+            [len(corpus.train_pairs), len(corpus.test_pairs)]
+        for pa, pb in zip(corpus.train_pairs + corpus.test_pairs,
+                          loaded.train_pairs + loaded.test_pairs):
+            assert pa.identity_id == pb.identity_id and type(pb.identity_id) is int
+            assert pa.tokens.dtype == pb.tokens.dtype == np.int64
+            assert pb.image.dtype == np.float64
+            np.testing.assert_array_equal(pa.image, pb.image)
+            np.testing.assert_array_equal(pa.tokens, pb.tokens)
+            assert pa.dropped == pb.dropped and pa.swapped == pb.swapped
+            assert all(type(s) is int for s in pb.dropped + pb.swapped)
+        again = tmp_path / "again.bin"
+        save_corpus(loaded, str(again))
+        assert path.read_bytes() == again.read_bytes()
+
+
+def _parent_layout(corpus) -> bytes:
+    """A corpus in the unversioned per-record layout that preceded the
+    shared file container."""
+    def ints(fmt, values):
+        return struct.pack(f"<H{len(values)}{fmt}", len(values), *values)
+
+    cfg = json.dumps(asdict(corpus.config), sort_keys=True, separators=(",", ":")).encode()
+    out = [b"RFCORP01", struct.pack("<I", len(cfg)), cfg,
+           struct.pack("<I", len(corpus.objects))]
+    out += [struct.pack("<i", o.identity_id) + ints("h", o.attributes) for o in corpus.objects]
+    out.append(struct.pack("<II", len(corpus.train_pairs), len(corpus.test_pairs)))
+    for p in corpus.train_pairs + corpus.test_pairs:
+        out += [struct.pack(f"<iI{len(p.tokens)}i", p.identity_id, len(p.tokens), *p.tokens),
+                struct.pack(f"<I{len(p.image)}d", len(p.image), *p.image),
+                ints("h", p.dropped), ints("h", p.swapped)]
+    return b"".join(out)
 
 
 def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTACORP" + b"\x00" * 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad magic"):
+        load_corpus(str(path))
+    # the old layout keeps the magic but has its config length where the
+    # version now sits
+    path.write_bytes(_parent_layout(generate_corpus(_cfg())))
+    with pytest.raises(ValueError, match=r"corpus file: unsupported version \d+$"):
         load_corpus(str(path))
 
 
 def test_load_names_the_record_a_cut_file_ends_in(tmp_path):
-    corpus = generate_corpus(_cfg())
     path = tmp_path / "corpus.bin"
-    save_corpus(corpus, str(path))
+    save_corpus(generate_corpus(_cfg()), str(path))
     blob = path.read_bytes()
-    last = len(corpus.test_pairs) - 1
-    cuts = {0: "header", 4: "header", 10: "header", 14: "config",
-            len(blob) // 2: r"(train|test) pair \d+", len(blob) - 3: f"test pair {last}",
-            len(blob) - 1: f"test pair {last}"}
+    mlen = int.from_bytes(blob[12:16], "little")
+    cuts = {0: "header", 7: "header", 15: "header", 16: "manifest", 15 + mlen: "manifest"}
+    for entry in json.loads(blob[16:16 + mlen])["arrays"]:
+        size = 8 * math.prod(entry["shape"])
+        if size:                       # a cut one byte short of the array's end
+            cuts[15 + mlen + entry["offset"] + size] = f"array '{entry['name']}'"
+    assert len(blob) - 1 in cuts and "array 'train.image'" in cuts.values()
     for cut, record in cuts.items():
         path.write_bytes(blob[:cut])
-        with pytest.raises(ValueError, match=f"corpus file: truncated in {record}$"):
+        with pytest.raises(ValueError, match=f"^corpus file: truncated in {re.escape(record)}"):
             load_corpus(str(path))
 
 

@@ -124,9 +124,9 @@ def test_text_outputs_unit_norm():
 
 def test_text_single_sequence_shapes():
     enc = _text()
-    g, states = enc.encode(_seq(5, 9))
-    assert g.shape == (16,)
-    assert states.shape == (4, 16)
+    g, states, _ = enc.encode_batch([_seq(5, 9)])
+    assert g.shape == (1, 16)
+    assert states.shape == (1, 4, 16)
 
 
 def test_padded_batching_matches_one_by_one():
@@ -134,21 +134,21 @@ def test_padded_batching_matches_one_by_one():
     seqs = [_seq(5, 9, 13), _seq(7), _seq(4, 4)]
     pooled, _, _ = enc.encode_batch(seqs)
     for i, s in enumerate(seqs):
-        alone, _ = enc.encode(s)
-        np.testing.assert_allclose(pooled.data[i], alone.data, rtol=0, atol=1e-12)
+        alone, _, _ = enc.encode_batch([s])
+        np.testing.assert_allclose(pooled.data[i], alone.data[0], rtol=0, atol=1e-12)
 
 
 def test_text_encoder_deterministic():
-    a, _ = _text(seed=2).encode(_seq(5, 9))
-    b, _ = _text(seed=2).encode(_seq(5, 9))
+    a, _, _ = _text(seed=2).encode_batch([_seq(5, 9)])
+    b, _, _ = _text(seed=2).encode_batch([_seq(5, 9)])
     assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_token_swap_moves_the_global():
     enc = _text(seed=3)
-    a, _ = enc.encode(_seq(5, 9))
-    b, _ = enc.encode(_seq(9, 5))
-    assert float(a.data @ b.data) < 1.0 - 1e-9
+    a, _, _ = enc.encode_batch([_seq(5, 9)])
+    b, _, _ = enc.encode_batch([_seq(9, 5)])
+    assert float(a.data[0] @ b.data[0]) < 1.0 - 1e-9
 
 
 def test_text_validation():
@@ -156,21 +156,21 @@ def test_text_validation():
     with pytest.raises(T.ShapeError):
         enc.encode_batch([])
     with pytest.raises(T.ShapeError):
-        enc.encode(np.array([], dtype=np.int64))
+        enc.encode_batch([np.array([], dtype=np.int64)])
     with pytest.raises(T.ShapeError):
-        enc.encode(np.array([BOS_ID, 20, EOS_ID]))         # out of vocab
+        enc.encode_batch([np.array([BOS_ID, 20, EOS_ID])])         # out of vocab
     with pytest.raises(T.ShapeError):
-        enc.encode(np.array([BOS_ID, -1, EOS_ID]))
+        enc.encode_batch([np.array([BOS_ID, -1, EOS_ID])])
     with pytest.raises(T.ShapeError):
-        enc.encode(np.full(13, N_SPECIAL, dtype=np.int64))  # too long
+        enc.encode_batch([np.full(13, N_SPECIAL, dtype=np.int64)])  # too long
     with pytest.raises(T.ShapeError):
-        enc.encode(np.ones((2, 3), dtype=np.int64))
+        enc.encode_batch([np.ones((2, 3), dtype=np.int64)])
 
 
 def test_no_eos_sequence_still_pools():
     enc = _text()
     seq = np.array([BOS_ID, 5, 9], dtype=np.int64)
-    g, _ = enc.encode(seq)
+    g, _, _ = enc.encode_batch([seq])
     assert np.isfinite(g.data).all()
     np.testing.assert_allclose(np.linalg.norm(g.data), 1.0, rtol=0, atol=1e-12)
 

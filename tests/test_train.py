@@ -1,7 +1,6 @@
 """Training loop: files, determinism, resume, ablation plumbing."""
 import csv
 import json
-import shutil
 
 import numpy as np
 import pytest
@@ -67,12 +66,12 @@ def test_eval_cadence(tmp_path):
 def test_training_is_bit_deterministic(tmp_path):
     cfg = _cfg(tmp_path, run_id="det").with_variant("Full")
     first = train(cfg)
-    ckpt = open(first.checkpoint_path, "rb").read()
-    jsonl = open(first.metrics_jsonl).read()
-    shutil.rmtree(cfg.out_dir)
-    second = train(cfg)
-    assert open(second.checkpoint_path, "rb").read() == ckpt
-    assert open(second.metrics_jsonl).read() == jsonl
+    files = [first.checkpoint_path, first.metrics_jsonl, first.metrics_csv]
+    blobs = [open(path, "rb").read() for path in files]
+    # a fresh run into the same out_dir replaces the first run's files,
+    # never appends to them
+    train(cfg)
+    assert [open(path, "rb").read() for path in files] == blobs
 
 
 def test_stop_and_resume_matches_straight_run(tmp_path):
@@ -88,6 +87,14 @@ def test_stop_and_resume_matches_straight_run(tmp_path):
     _, _, got = read_checkpoint(resumed.checkpoint_path)
     for name in want:
         np.testing.assert_array_equal(want[name], got[name])
+    # the resume appends to the stopped part's rows (epoch 1), which a
+    # straight run never writes at eval_every=0
+    rows = [json.loads(line) for line in open(resumed.metrics_jsonl)]
+    assert [r["step"] for r in rows] == [3, 3, 9, 9]
+    assert [dict(json.loads(line), run_id=resumed.config.run_id)
+            for line in open(full.metrics_jsonl)] == rows[2:]
+    with open(resumed.metrics_csv, newline="") as f:
+        assert [int(r["step"]) for r in csv.DictReader(f)] == [3, 3, 9, 9]
 
 
 def test_resume_validation(tmp_path):
