@@ -13,8 +13,8 @@ import dataclasses
 import json
 import sys
 
-from .config import (VARIANT_ORDER, RunConfig, W_SWEEP_GRID, config_from_dict,
-                     full_scale_config, read_config)
+from .config import (RunConfig, W_SWEEP_GRID, config_from_dict, full_scale_config,
+                     read_config)
 from .data import CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .evaluation import encode_split, score_split
 from .gradcheck import format_report, run_checks, stop_gradient_contracts
@@ -38,6 +38,7 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls) -> list[str]:
                                 default=None, help=f"default {current}")
         else:
             parser.add_argument(flag, type=type(current), default=None,
+                                choices=f.metadata.get("choices"),
                                 help=f"default {current}")
         names.append(f.name)
     return names
@@ -107,8 +108,6 @@ def _cmd_generate_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _run_config(args, args._field_names)
-    if args.variant:
-        cfg = cfg.with_variant(args.variant)
     corpus = _load_corpus_arg(args)
     result = train(_attach_corpus(cfg, corpus), corpus=corpus,
                    resume_from=args.resume,
@@ -189,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                    _field_names=_add_field_flags(p, CorpusConfig))
 
     p = sub.add_parser("train", help="run one training configuration")
-    p.add_argument("--variant", choices=VARIANT_ORDER,
-                   help="apply a named ablation row's flags")
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(func=_cmd_train, _field_names=_add_run_options(p))
 

@@ -1,9 +1,9 @@
 """Run configuration: one dataclass tree, one INI-style file format.
 
 Sections [run], [corpus], [encoder], [loss] mirror the dataclasses
-field-for-field.  Ablation flags live in [run]; their dependency rules
-(fusion or reconstruction require guidance, refinement requires a
-trained bank) are enforced before any work starts.
+field-for-field.  The ablation row is one [run] field, `variant`, named
+as in the paper's table; the read-only properties below derive which
+parts a row trains and whether it reranks at eval.
 """
 from __future__ import annotations
 
@@ -18,19 +18,6 @@ from .losses import LossConfig
 W_SWEEP_GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 VARIANT_ORDER = ("Baseline", "A", "B", "C", "Full")
-# training flags per ablation row; B and Full add refinement at eval time
-_VARIANT_FLAGS = {
-    "Baseline": dict(use_guidance=False, use_global_fusion=False,
-                     use_local_reconstruction=False, use_refinement=False),
-    "A": dict(use_guidance=True, use_global_fusion=True,
-              use_local_reconstruction=False, use_refinement=False),
-    "B": dict(use_guidance=True, use_global_fusion=True,
-              use_local_reconstruction=False, use_refinement=True),
-    "C": dict(use_guidance=True, use_global_fusion=True,
-              use_local_reconstruction=True, use_refinement=False),
-    "Full": dict(use_guidance=True, use_global_fusion=True,
-                 use_local_reconstruction=True, use_refinement=True),
-}
 
 
 @dataclass(frozen=True)
@@ -48,10 +35,7 @@ class RunConfig:
     seed: int = 0
     run_id: str = "run"
     out_dir: str = "runs"
-    use_guidance: bool = False            # pull features toward references
-    use_global_fusion: bool = False       # pull references toward features
-    use_local_reconstruction: bool = False
-    use_refinement: bool = False          # rerank through the bank at eval
+    variant: str = field(default="Baseline", metadata={"choices": VARIANT_ORDER})
 
     def __post_init__(self):
         if not 0 < self.warmup_epochs < self.epochs:
@@ -71,22 +55,32 @@ class RunConfig:
             raise ValueError(f"config: mask_ratio {self.mask_ratio} outside (0, 1]")
         if self.eval_every < 0:
             raise ValueError("config: eval_every must be >= 0")
-        if (self.use_global_fusion or self.use_local_reconstruction) and not self.use_guidance:
-            raise ValueError("config: fusion and reconstruction rely on guidance; "
-                             "enable use_guidance")
-        if self.use_refinement and not (self.use_global_fusion or self.use_local_reconstruction):
-            raise ValueError("config: refinement needs a trained bank; enable "
-                             "use_global_fusion or use_local_reconstruction")
+        if self.variant not in VARIANT_ORDER:
+            raise KeyError(f"config: unknown ablation variant {self.variant!r}; "
+                           f"pick from {VARIANT_ORDER}")
 
     @property
     def steps_per_epoch(self) -> int:
         return self.corpus.n_train_identities // self.batch_identities
 
+    @property
+    def guided(self) -> bool:
+        """Reference-guided learning plus global reference fusion: every
+        row but Baseline."""
+        return self.variant != "Baseline"
+
+    @property
+    def reconstructs(self) -> bool:
+        """Local reconstruction of masked tokens: C and Full."""
+        return self.variant in ("C", "Full")
+
+    @property
+    def reranks(self) -> bool:
+        """Reference-based refinement at eval: B and Full."""
+        return self.variant in ("B", "Full")
+
     def with_variant(self, name: str) -> "RunConfig":
-        if name not in _VARIANT_FLAGS:
-            raise KeyError(f"config: unknown ablation variant {name!r}; "
-                           f"pick from {VARIANT_ORDER}")
-        return replace(self, **_VARIANT_FLAGS[name], run_id=f"{self.run_id}-{name}")
+        return replace(self, variant=name, run_id=f"{self.run_id}-{name}")
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed, run_id=f"{self.run_id}-s{seed}")
@@ -98,9 +92,7 @@ def full_scale_config() -> RunConfig:
     optimization schedule scales up."""
     return RunConfig(epochs=20, warmup_epochs=2, peak_lr=4e-5,
                      batch_identities=45, batch_pairs=2,
-                     corpus=CorpusConfig(),
-                     use_guidance=True, use_global_fusion=True,
-                     use_local_reconstruction=True, use_refinement=True,
+                     corpus=CorpusConfig(), variant="Full",
                      run_id="full-scale")
 
 
@@ -180,6 +172,20 @@ def config_as_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _exact_fields(cls, payload: dict, name: str) -> None:
+    want = [f.name for f in dataclasses.fields(cls)]
+    problems = [f"{what} fields {keys}" for what, keys in (
+        ("unknown", [key for key in payload if key not in want]),
+        ("missing", [key for key in want if key not in payload])) if keys]
+    if problems:
+        raise ValueError(f"config [{name}]: " + ", ".join(problems))
+
+
 def config_from_dict(payload: dict) -> RunConfig:
+    """Inverse of config_as_dict; every section must hold exactly its
+    dataclass's fields, so a dict from an older layout is refused by name."""
+    _exact_fields(RunConfig, payload, "run")
+    for name, cls in _NESTED.items():
+        _exact_fields(cls, payload[name], name)
     nested = {name: cls(**payload[name]) for name, cls in _NESTED.items()}
     return RunConfig(**{**payload, **nested})

@@ -37,9 +37,12 @@ class LossConfig:
         if not self.neg_bound < self.pos_bound:
             raise ValueError(f"loss config: neg_bound {self.neg_bound} must lie "
                              f"below pos_bound {self.pos_bound}")
-        for name in ("fusion_weight", "reconstruction_weight", "guidance_weight"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"loss config: {name} must be >= 0")
+        for name in ("fusion_weight", "reconstruction_weight", "guidance_weight",
+                     "refine_weight"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"loss config: {name} must be finite and >= 0, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)

@@ -90,14 +90,12 @@ def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
     enc = model.encode_pairs(batch)
     fuse = guide = rec = None
     align = align_loss(enc.text_global, enc.image_global, enc.labels, cfg.loss)
-    if cfg.use_guidance or cfg.use_global_fusion:
+    if cfg.guided:
         reps = T.concat_rows([enc.text_global, enc.image_global])
         rep_labels = np.concatenate([enc.labels, enc.labels])
-        if cfg.use_global_fusion:
-            fuse = fuse_loss(model.bank, reps, rep_labels, cfg.loss)
-        if cfg.use_guidance:
-            guide = guide_loss(reps, model.bank, rep_labels, cfg.loss)
-    if cfg.use_local_reconstruction:
+        fuse = fuse_loss(model.bank, reps, rep_labels, cfg.loss)
+        guide = guide_loss(reps, model.bank, rep_labels, cfg.loss)
+    if cfg.reconstructs:
         rngs = [derive_rng(cfg.seed, STREAM_MASK, step, i)
                 for i in range(len(batch.token_seqs))]
         recon = _reconstruct_masked(model, batch.token_seqs, batch.labels,
@@ -114,7 +112,7 @@ def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
 def _evaluate(model: RetrievalModel, features, cfg: RunConfig,
               step: int, jsonl_path: str, csv_path: str) -> list[dict]:
     rows = []
-    refine_states = (False, True) if cfg.use_refinement else (False,)
+    refine_states = (False, True) if cfg.reranks else (False,)
     for refined in refine_states:
         for direction in ("t2i", "i2t"):
             result = score_split(*features, model.bank.matrix(),
@@ -270,23 +268,42 @@ def _aggregate(rows_by_seed: list[dict]) -> dict:
 
 def _variant_rows(cfg: RunConfig, corpus: Corpus, settings, log) -> list[tuple]:
     """Train one variant, then score text-to-image from the features its
-    final eval encoded, for each (row, refined, w) in settings;
+    final eval encoded, once per distinct reranking weight w among the
+    (row, w) settings; w = 0.0 is the plain score (reranking at w = 0
+    moves nothing), which the final eval already holds.
     -> [(row, report row)] in settings order."""
     result = train(cfg, corpus, log=log)
+    plain = next(r for r in result.final_metrics
+                 if r["direction"] == "t2i" and not r["refined"])
+    scored = {0.0: {k: plain[k] for k in REPORT_KEYS}}
     bank = result.model.bank.matrix()
-    return [(row, _report_columns(score_split(*result.features, bank, "t2i",
-                                              refined, w).metrics))
-            for row, refined, w in settings]
+    for _, w in settings:
+        if w not in scored:
+            scored[w] = _report_columns(score_split(*result.features, bank, "t2i",
+                                                    True, w).metrics)
+    return [(row, scored[w]) for row, w in settings]
 
 
 def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan, log) -> dict:
     """Per seed, train each variant of plan once and score its settings;
-    plan is ((variant, settings), ...) -> row -> per-seed report rows."""
+    plan is ((variant, [(row, w), ...]), ...) -> row -> per-seed report
+    rows.  Repeated seeds or rows and bad weights are refused before the
+    first training."""
+    seeds = [int(s) for s in seeds]
+    names = [row for _, settings in plan for row, _ in settings]
+    weights = [w for _, settings in plan for _, w in settings]
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError(f"ablation: seeds {seeds} must be distinct and non-empty")
+    if len(set(names)) < len(names):
+        raise ValueError(f"ablation: rows {names} repeat a w of the grid")
+    if not all(np.isfinite(w) and w >= 0.0 for w in weights):
+        raise ValueError(f"ablation: bad weight in {weights}; each w must be "
+                         f"finite and >= 0")
     if corpus is None:
         corpus = generate_corpus(base.corpus)
-    rows = {row: [] for _, settings in plan for row, _, _ in settings}
+    rows = {row: [] for row in names}
     for seed in seeds:
-        cfg_s = base.with_seed(int(seed))
+        cfg_s = base.with_seed(seed)
         for variant, settings in plan:
             for row, metrics in _variant_rows(cfg_s.with_variant(variant), corpus,
                                               settings, log):
@@ -295,7 +312,7 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan, log) -> dict:
 
 
 def _sweep_settings(w_grid) -> list[tuple]:
-    return [(float(g), True, float(g)) for g in w_grid]
+    return [(float(g), float(g)) for g in w_grid]
 
 
 def _sweep_entries(w_grid, rows: dict) -> list[dict]:
@@ -311,13 +328,14 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     (guidance + fusion + reconstruction).  B reranks A's model through
     the bank; Full reranks C's.  The sweep re-scores C's model across
     w_grid.  Scores are text-to-image on the test split.  Each model is
-    encoded once, by train()'s final eval, and every row is scored from
-    those features.
+    encoded once, by train()'s final eval; the plain rows reuse that
+    eval's score and each distinct reranking weight is scored once from
+    its features.
     """
     w = base.loss.refine_weight
-    plan = (("Baseline", [("Baseline", False, w)]),
-            ("A", [("A", False, w), ("B", True, w)]),
-            ("C", [("C", False, w), ("Full", True, w), *_sweep_settings(w_grid)]))
+    plan = (("Baseline", [("Baseline", 0.0)]),
+            ("A", [("A", 0.0), ("B", w)]),
+            ("C", [("C", 0.0), ("Full", w), *_sweep_settings(w_grid)]))
     rows = _run_plan(base, seeds, corpus, plan, log)
     return {
         "seeds": [int(s) for s in seeds],

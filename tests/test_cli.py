@@ -49,7 +49,7 @@ def test_train_command_and_flag_precedence(tmp_path, capsys):
                 if line.startswith("checkpoint:"))
     step, meta, _ = read_checkpoint(ckpt)
     assert meta["config"]["epochs"] == 4          # flag beat the file
-    assert meta["config"]["use_local_reconstruction"] is True
+    assert meta["config"]["variant"] == "C"
     assert step == 4 * 2
     metric_lines = [json.loads(line) for line in out.splitlines()
                     if line.startswith("{")]
@@ -69,7 +69,7 @@ def test_train_with_corpus_file(tmp_path, capsys):
 def test_eval_command(tmp_path, capsys):
     ini = _ini(tmp_path, run_id="evalme")
     main(["train", "--config", ini, "--variant", "C", "--quiet"])
-    ckpt = str(tmp_path / "runs" / "evalme-C.ckpt")
+    ckpt = str(tmp_path / "runs" / "evalme.ckpt")
 
     assert main(["eval", "--checkpoint", ckpt, "--direction", "t2i"]) == 0
     row = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -94,6 +94,23 @@ def test_eval_names_a_missing_meta_field(tmp_path, missing):
     ckpt = str(tmp_path / "bare.ckpt")
     save_checkpoint(ckpt, model.named_parameters(), step=0, meta=meta)
     with pytest.raises(ValueError, match=f"records no {missing}$"):
+        main(["eval", "--checkpoint", ckpt])
+
+
+def test_eval_refuses_a_checkpoint_with_ablation_booleans(tmp_path):
+    # checkpoints written before `variant` record the row as four booleans
+    cfg = RunConfig(corpus=_CC, encoder=EncoderConfig(d=16, n_heads=4,
+                                                      image_input_dim=_CC.image_dim),
+                    warmup_epochs=1, batch_identities=5)
+    model = model_for_corpus(cfg.encoder, generate_corpus(_CC), seed=0)
+    config = dataclasses.asdict(cfg)
+    del config["variant"]
+    config.update(use_guidance=True, use_global_fusion=True,
+                  use_local_reconstruction=True, use_refinement=False)
+    ckpt = str(tmp_path / "old.ckpt")
+    save_checkpoint(ckpt, model.named_parameters(), step=0,
+                    meta={"run_seed": 0, "config": config})
+    with pytest.raises(ValueError, match="unknown fields .*'use_global_fusion'"):
         main(["eval", "--checkpoint", ckpt])
 
 

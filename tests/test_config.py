@@ -17,8 +17,8 @@ def test_defaults_and_derived():
     assert (cfg.batch_identities, cfg.batch_pairs) == (8, 2)
     assert cfg.mask_ratio == 0.15
     assert cfg.steps_per_epoch == 200 // 8
-    assert not any((cfg.use_guidance, cfg.use_global_fusion,
-                    cfg.use_local_reconstruction, cfg.use_refinement))
+    assert cfg.variant == "Baseline"
+    assert not any((cfg.guided, cfg.reconstructs, cfg.reranks))
 
 
 def test_validation():
@@ -38,10 +38,8 @@ def test_validation():
         RunConfig(mask_ratio=0.0)
     with pytest.raises(ValueError):
         RunConfig(eval_every=-1)
-    with pytest.raises(ValueError):
-        RunConfig(use_global_fusion=True)          # guidance off
-    with pytest.raises(ValueError):
-        RunConfig(use_guidance=True, use_refinement=True)
+    with pytest.raises(KeyError):
+        RunConfig(variant="D")
 
 
 def test_variant_flags():
@@ -50,13 +48,13 @@ def test_variant_flags():
     for name in VARIANT_ORDER:
         cfg = base.with_variant(name)
         assert cfg.run_id == f"abl-{name}"
-        flags[name] = (cfg.use_guidance, cfg.use_global_fusion,
-                       cfg.use_local_reconstruction, cfg.use_refinement)
-    assert flags["Baseline"] == (False, False, False, False)
-    assert flags["A"] == (True, True, False, False)
-    assert flags["B"] == (True, True, False, True)
-    assert flags["C"] == (True, True, True, False)
-    assert flags["Full"] == (True, True, True, True)
+        assert cfg.variant == name
+        flags[name] = (cfg.guided, cfg.reconstructs, cfg.reranks)
+    assert flags["Baseline"] == (False, False, False)
+    assert flags["A"] == (True, False, False)
+    assert flags["B"] == (True, False, True)
+    assert flags["C"] == (True, True, False)
+    assert flags["Full"] == (True, True, True)
     with pytest.raises(KeyError):
         base.with_variant("D")
 
@@ -71,7 +69,7 @@ def test_full_scale_protocol():
     assert (cfg.epochs, cfg.warmup_epochs) == (20, 2)
     assert cfg.peak_lr == 4e-5
     assert (cfg.batch_identities, cfg.batch_pairs) == (45, 2)
-    assert cfg.use_guidance and cfg.use_refinement
+    assert cfg.variant == "Full"
 
 
 def test_trend_protocol_is_buildable():
@@ -96,8 +94,7 @@ def test_write_read_round_trip(tmp_path):
         encoder=EncoderConfig(d=32, n_heads=8, image_input_dim=64),
         loss=LossConfig(guidance_weight=2.0, bank_wide_negatives=True),
         epochs=7, warmup_epochs=3, peak_lr=5e-4, batch_identities=6,
-        batch_pairs=3, eval_every=2, seed=11, run_id="trip",
-        use_guidance=True, use_global_fusion=True, use_refinement=True)
+        batch_pairs=3, eval_every=2, seed=11, run_id="trip", variant="B")
     path = str(tmp_path / "run.ini")
     write_config(cfg, path)
     assert read_config(path) == cfg
@@ -132,12 +129,11 @@ def test_bool_coercion(tmp_path):
     write_config(RunConfig(), str(path))
     text = path.read_text()
     for raw, want in (("yes", True), ("off", False), ("1", True), ("False", False)):
-        path.write_text(text.replace("use_guidance = False",
-                                     f"use_guidance = {raw}")
-                        .replace("use_global_fusion = False",
-                                 f"use_global_fusion = {raw}"))
-        assert read_config(str(path)).use_guidance is want
-    path.write_text(text.replace("use_guidance = False", "use_guidance = maybe"))
+        path.write_text(text.replace("bank_wide_negatives = False",
+                                     f"bank_wide_negatives = {raw}"))
+        assert read_config(str(path)).loss.bank_wide_negatives is want
+    path.write_text(text.replace("bank_wide_negatives = False",
+                                 "bank_wide_negatives = maybe"))
     with pytest.raises(ValueError):
         read_config(str(path))
 
@@ -150,3 +146,11 @@ def test_dict_round_trip():
     # independent copies, not views
     assert config_from_dict(dict(payload)) is not cfg
     assert dataclasses.asdict(cfg) == payload
+    # only the exact field set of each section loads back
+    del payload["epochs"]
+    with pytest.raises(ValueError, match=r"\[run\]: missing fields \['epochs'\]"):
+        config_from_dict(payload)
+    payload = config_as_dict(cfg)
+    payload["corpus"]["colour"] = 1
+    with pytest.raises(ValueError, match=r"\[corpus\]: unknown fields \['colour'\]"):
+        config_from_dict(payload)

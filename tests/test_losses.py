@@ -39,8 +39,11 @@ def test_config_defaults_and_validation():
         _cfg(neg_temp=-1.0)
     with pytest.raises(ValueError):
         _cfg(neg_bound=0.6)        # must stay below pos_bound
-    with pytest.raises(ValueError):
-        _cfg(guidance_weight=-0.1)
+    for bad in (dict(guidance_weight=-0.1), dict(reconstruction_weight=-0.1),
+                dict(refine_weight=-1.0), dict(refine_weight=float("nan")),
+                dict(guidance_weight=float("nan")), dict(fusion_weight=float("inf"))):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            _cfg(**bad)
 
 
 # ------------------------------------------------------------- partitioning

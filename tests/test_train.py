@@ -10,6 +10,7 @@ from dataclasses import replace
 from refalign.config import RunConfig, W_SWEEP_GRID
 from refalign.data import CorpusConfig, generate_corpus, sample_batch
 from refalign.encoders import EncoderConfig
+from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint
 from refalign.tensor import Adam, ScheduleConfig
 import refalign.train
@@ -173,15 +174,35 @@ def test_masked_eval_contract(tmp_path):
         train_step(blind, Adam(blind.parameters()), batch, blind_cfg, schedule, step=1)
 
 
+def test_rerank_at_zero_weight_is_the_plain_score(tmp_path):
+    # the ablation scores every w = 0 row from the plain score it already
+    # holds; on a trained model's own features the two agree exactly
+    res = train(_cfg(tmp_path, run_id="w0").with_variant("C"))
+    bank = res.model.bank.matrix()
+    for direction in ("t2i", "i2t"):
+        plain = score_split(*res.features, bank, direction, use_refine=False)
+        zero = score_split(*res.features, bank, direction, use_refine=True, w=0.0)
+        assert zero.metrics == plain.metrics
+        np.testing.assert_array_equal(zero.rankings, plain.rankings)
+
+
 def test_ablation_report_structure(tmp_path, monkeypatch):
-    encodes = []
+    encodes, scorings = [], []
     real_encode = refalign.train.encode_split
+    real_score = refalign.train.score_split
     monkeypatch.setattr(refalign.train, "encode_split",
                         lambda *a: encodes.append(a[2]) or real_encode(*a))
+    monkeypatch.setattr(refalign.train, "score_split",
+                        lambda *a: scorings.append(a[4:]) or real_score(*a))
     cfg = _cfg(tmp_path, run_id="abl")
     report = ablate(cfg, seeds=(0,))
     # Baseline, A and C each encoded once, by train()'s final eval
     assert encodes == ["test"] * 3
+    # their final evals score t2i and i2t plainly (6); the plain rows reuse
+    # that t2i score, so only B, Full (w = 0.5) and the sweep's other
+    # nonzero weights are scored again (the sweep's 0.5 is Full's)
+    assert len(scorings) == 12
+    assert [w for _, refined, w in scorings if refined] == [0.5, 0.5, 0.1, 0.3, 0.7, 0.9]
     assert report["seeds"] == [0]
     assert report["runs_aggregated"] == 1 * (5 + len(W_SWEEP_GRID))
     assert [v["variant"] for v in report["variants"]] == \
@@ -210,9 +231,29 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
     table = format_ablation_table(report)
     assert "Baseline" in table and "Full" in table and "0.9" in table
 
-    # sweep_w trains and encodes C once more and scores the same grid
+    # sweep_w trains and encodes C once more and scores the same grid:
+    # its final eval twice, then the five nonzero weights
     assert sweep_w(cfg, seeds=(0,))["sweep"] == report["sweep"]
     assert len(encodes) == 4
+    assert len(scorings) == 12 + 7
+
+
+def test_ablation_refuses_bad_inputs_before_training(tmp_path, monkeypatch):
+    trainings = []
+    monkeypatch.setattr(refalign.train, "train",
+                        lambda *a, **kw: trainings.append(a))
+    cfg = _cfg(tmp_path, run_id="bad")
+    for run, kw, match in ((ablate, dict(seeds=(0, 0)), "distinct"),
+                           (sweep_w, dict(seeds=(0, 0)), "distinct"),
+                           (sweep_w, dict(seeds=()), "non-empty"),
+                           (ablate, dict(w_grid=(0.5, 0.5)), "repeat"),
+                           (sweep_w, dict(w_grid=(0.1, 0.3, 0.1)), "repeat"),
+                           (ablate, dict(w_grid=(0.0, -0.1)), "bad weight"),
+                           (sweep_w, dict(w_grid=(float("nan"),)), "bad weight"),
+                           (sweep_w, dict(w_grid=(float("inf"),)), "bad weight")):
+        with pytest.raises(ValueError, match=match):
+            run(cfg, **{"seeds": (0,), **kw})
+    assert trainings == []
 
 
 class _RecordingAdam(Adam):
