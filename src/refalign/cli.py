@@ -32,14 +32,9 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls) -> list[str]:
         current = getattr(defaults, f.name)
         if dataclasses.is_dataclass(current):
             continue            # a nested section comes from the config file
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(current, bool):
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction,
-                                default=None, help=f"default {current}")
-        else:
-            parser.add_argument(flag, type=type(current), default=None,
-                                choices=f.metadata.get("choices"),
-                                help=f"default {current}")
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(current),
+                            default=None, choices=f.metadata.get("choices"),
+                            help=f"default {current}")
         names.append(f.name)
     return names
 

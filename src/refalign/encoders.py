@@ -221,11 +221,3 @@ class ImageEncoder:
         h = T.tanh(linear(x, self.w1, self.b1))
         return T.l2_normalize(linear(h, self.w2, self.b2))
 
-
-@dataclass
-class EncodedBatch:
-    """Global features of both modalities of one training batch.  Rows
-    are unit-norm by construction."""
-    text_global: Tensor        # (B, d)
-    image_global: Tensor       # (B, d)
-    labels: np.ndarray         # (B,) identity ids

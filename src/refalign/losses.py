@@ -45,34 +45,11 @@ class LossConfig:
                                  f"got {value}")
 
 
-@dataclass(frozen=True)
-class PairPartition:
-    """Exhaustive, disjoint split of a similarity matrix's index set by
-    label equality."""
-    pos_rows: np.ndarray
-    pos_cols: np.ndarray
-    neg_rows: np.ndarray
-    neg_cols: np.ndarray
-
-    @property
-    def n_pos(self) -> int:
-        return self.pos_rows.size
-
-    @property
-    def n_neg(self) -> int:
-        return self.neg_rows.size
-
-
-def partition_by_labels(row_labels, col_labels) -> PairPartition:
-    row_labels = np.asarray(row_labels)
-    col_labels = np.asarray(col_labels)
-    if row_labels.ndim != 1 or col_labels.ndim != 1 or not row_labels.size or not col_labels.size:
-        raise ValueError(f"partition: need non-empty 1-d label vectors, got "
-                         f"{row_labels.shape} / {col_labels.shape}")
-    same = row_labels[:, None] == col_labels[None, :]
-    pr, pc = np.nonzero(same)
-    nr, nc = np.nonzero(~same)
-    return PairPartition(pr, pc, nr, nc)
+def _pairs(row_labels, col_labels):
+    """-> ((rows, cols) of equal labels, (rows, cols) of unequal labels),
+    each in row-major order; that order fixes every sum the losses make."""
+    same = np.asarray(row_labels)[:, None] == np.asarray(col_labels)[None, :]
+    return np.nonzero(same), np.nonzero(~same)
 
 
 def contrastive_loss(s_pos: Tensor, s_neg: Tensor, cfg: LossConfig) -> Tensor:
@@ -83,12 +60,6 @@ def contrastive_loss(s_pos: Tensor, s_neg: Tensor, cfg: LossConfig) -> Tensor:
     pos = T.sum_all(T.softplus(T.scale(T.shift(s_pos, -cfg.pos_bound), -cfg.pos_temp)))
     neg = T.sum_all(T.softplus(T.scale(T.shift(s_neg, -cfg.neg_bound), cfg.neg_temp)))
     return T.add(pos, neg)
-
-
-def _partitioned_loss(sim: Tensor, part: PairPartition, cfg: LossConfig) -> Tensor:
-    s_pos = T.take(sim, part.pos_rows, part.pos_cols)
-    s_neg = T.take(sim, part.neg_rows, part.neg_cols)
-    return contrastive_loss(s_pos, s_neg, cfg)
 
 
 def align_loss(text_globals: Tensor, image_globals: Tensor, labels,
@@ -103,50 +74,48 @@ def align_loss(text_globals: Tensor, image_globals: Tensor, labels,
         raise T.ShapeError(f"align_loss: shapes {text_globals.shape} / "
                            f"{image_globals.shape} / labels {labels.shape}")
     sim = T.cosine_matrix(text_globals, image_globals)
-    part = partition_by_labels(labels, labels)
-    return T.scale(_partitioned_loss(sim, part, cfg), 2.0 / n)
+    pos, neg = _pairs(labels, labels)
+    return T.scale(contrastive_loss(T.take(sim, *pos), T.take(sim, *neg), cfg), 2.0 / n)
 
 
-def _bank_similarity(bank, reps: Tensor, labels: np.ndarray, cfg: LossConfig,
-                     detach: str):
-    """Rows are bank references (batch identities, or the whole bank when
-    configured), columns are the 2n stacked modality features."""
+def _reference_rows(bank, reps: Tensor, labels, cfg: LossConfig, caller: str):
+    """-> (identity ids, bank rows) that fusion and guidance compare the
+    2n stacked modality features against: the batch's identities in
+    first-occurrence order, or the whole bank when configured."""
+    labels = np.asarray(labels)
+    if reps.ndim != 2 or labels.shape != (reps.shape[0],):
+        raise T.ShapeError(f"{caller}: reps {reps.shape} vs labels {labels.shape}")
+    if labels.size == 0:
+        raise ValueError(f"{caller}: empty batch")
     if cfg.bank_wide_negatives:
         ref_ids = np.asarray(bank.identity_ids)
     else:
         # first-occurrence order keeps the similarity matrix reproducible
         _, first = np.unique(labels, return_index=True)
         ref_ids = labels[np.sort(first)]
-    refs = bank.rows_for(ref_ids)
-    if detach == "features":
-        sim = T.cosine_matrix(refs, T.stop_gradient(reps))
-    elif detach == "references":
-        sim = T.permute(T.cosine_matrix(reps, T.stop_gradient(refs)), (1, 0))
-    else:
-        raise ValueError(f"unknown detach side {detach!r}")
-    return sim, ref_ids
+    return ref_ids, bank.rows_for(ref_ids)
 
 
 def fuse_loss(bank, reps: Tensor, labels, cfg: LossConfig) -> Tensor:
     """Pull each reference toward its identity's detached features,
     weighted 1/2n.  Gradients reach only the bank."""
-    labels = np.asarray(labels)
-    if reps.ndim != 2 or labels.shape != (reps.shape[0],):
-        raise T.ShapeError(f"fuse_loss: reps {reps.shape} vs labels {labels.shape}")
-    sim, ref_ids = _bank_similarity(bank, reps, labels, cfg, detach="features")
-    part = partition_by_labels(ref_ids, labels)
-    return T.scale(_partitioned_loss(sim, part, cfg), 1.0 / reps.shape[0])
+    ref_ids, refs = _reference_rows(bank, reps, labels, cfg, "fuse_loss")
+    sim = T.cosine_matrix(refs, T.stop_gradient(reps))
+    pos, neg = _pairs(ref_ids, labels)
+    return T.scale(contrastive_loss(T.take(sim, *pos), T.take(sim, *neg), cfg),
+                   1.0 / reps.shape[0])
 
 
 def guide_loss(reps: Tensor, bank, labels, cfg: LossConfig) -> Tensor:
     """Pull each feature toward its identity's detached reference,
     weighted 1/2n.  Gradients reach only the encoders."""
-    labels = np.asarray(labels)
-    if reps.ndim != 2 or labels.shape != (reps.shape[0],):
-        raise T.ShapeError(f"guide_loss: reps {reps.shape} vs labels {labels.shape}")
-    sim, ref_ids = _bank_similarity(bank, reps, labels, cfg, detach="references")
-    part = partition_by_labels(ref_ids, labels)
-    return T.scale(_partitioned_loss(sim, part, cfg), 1.0 / reps.shape[0])
+    ref_ids, refs = _reference_rows(bank, reps, labels, cfg, "guide_loss")
+    sim = T.cosine_matrix(reps, T.stop_gradient(refs))
+    # the pairs of fuse_loss, read off the transposed matrix in the same order
+    (pos_refs, pos_reps), (neg_refs, neg_reps) = _pairs(ref_ids, labels)
+    return T.scale(contrastive_loss(T.take(sim, pos_reps, pos_refs),
+                                    T.take(sim, neg_reps, neg_refs), cfg),
+                   1.0 / reps.shape[0])
 
 
 def rec_loss(probs: Tensor, targets) -> Tensor:

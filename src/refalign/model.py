@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import (Corpus, PairBatch, STREAM_MODEL, derive_rng, load_arrays,
                    save_arrays)
-from .encoders import EncodedBatch, EncoderConfig, ImageEncoder, TextEncoder
+from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .reference import LocalReconstructor, ReferenceBank
 from .tensor import Adam, ShapeError, Tensor
 
@@ -49,11 +49,10 @@ class RetrievalModel:
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
-    def encode_pairs(self, batch: PairBatch) -> EncodedBatch:
+    def encode_pairs(self, batch: PairBatch) -> tuple[Tensor, Tensor]:
+        """-> (text, image) global features of the batch, unit rows (B, d)."""
         text, _, _ = self.text_encoder.encode_batch(batch.token_seqs)
-        image = self.image_encoder.encode_batch(batch.images)
-        return EncodedBatch(text_global=text, image_global=image,
-                            labels=batch.labels)
+        return text, self.image_encoder.encode_batch(batch.images)
 
 
 def model_for_corpus(cfg: EncoderConfig, corpus: Corpus, seed: int) -> RetrievalModel:

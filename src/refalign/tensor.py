@@ -104,22 +104,8 @@ class Tensor:
         tag = self.name or self._op
         return f"Tensor({tag}, shape={self.data.shape}, grad={self.requires_grad})"
 
-    # a little sugar; everything desugars to the module-level operators
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data, name: str | None = None) -> Tensor:

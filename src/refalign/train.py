@@ -87,12 +87,12 @@ def _reconstruct_masked(model: RetrievalModel, token_seqs, labels,
 def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
                cfg: RunConfig, schedule: ScheduleConfig, step: int) -> float:
     """One optimization step; returns the scalar total loss."""
-    enc = model.encode_pairs(batch)
+    text, image = model.encode_pairs(batch)
     fuse = guide = rec = None
-    align = align_loss(enc.text_global, enc.image_global, enc.labels, cfg.loss)
+    align = align_loss(text, image, batch.labels, cfg.loss)
     if cfg.guided:
-        reps = T.concat_rows([enc.text_global, enc.image_global])
-        rep_labels = np.concatenate([enc.labels, enc.labels])
+        reps = T.concat_rows([text, image])
+        rep_labels = np.concatenate([batch.labels, batch.labels])
         fuse = fuse_loss(model.bank, reps, rep_labels, cfg.loss)
         guide = guide_loss(reps, model.bank, rep_labels, cfg.loss)
     if cfg.reconstructs:
@@ -141,8 +141,7 @@ def _check_resume_config(meta: dict, cfg: RunConfig) -> None:
     if "config" not in meta:
         raise ValueError("resume: checkpoint records no config")
     saved = _flatten(meta["config"])
-    # through JSON, as the checkpoint stored it, so tuples compare as lists
-    live = _flatten(json.loads(json.dumps(config_as_dict(cfg))))
+    live = _flatten(config_as_dict(cfg))
     for key in [*live, *(k for k in saved if k not in live)]:
         if key in ("run_id", "out_dir"):
             continue
@@ -157,9 +156,10 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
           log=None) -> TrainResult:
     """Run the configured protocol end to end.
 
-    resume_from restarts mid-schedule from a checkpoint written by
-    stop_after_epochs; both runs must share the config, run_id and
-    out_dir aside.
+    The checkpoint is written after the last epoch and after every
+    earlier eval epoch.  resume_from restarts mid-schedule from such a
+    checkpoint or from one written by stop_after_epochs; both runs must
+    share the config, run_id and out_dir aside.
     """
     if corpus is None:
         corpus = generate_corpus(cfg.corpus)
@@ -195,6 +195,8 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
 
     last_epoch = cfg.epochs if stop_after_epochs is None \
         else min(cfg.epochs, stop_after_epochs)
+    meta = {"run_seed": cfg.seed, "run_id": cfg.run_id,
+            "config": config_as_dict(cfg)}
     final_rows: list[dict] = []
     features = None
     for epoch in range(start_epoch + 1, last_epoch + 1):
@@ -212,13 +214,15 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         if due or epoch == last_epoch:
             features = encode_split(model, corpus, "test")
             final_rows = _evaluate(model, features, cfg, step, jsonl_path, csv_path)
+            if epoch < last_epoch:
+                # an interrupted run resumes from its last eval, whose
+                # metric rows are already on disk
+                save_checkpoint(ckpt_path, params, step, meta, optimizer)
         if log is not None:
             log(f"[{cfg.run_id}] epoch {epoch}/{cfg.epochs} "
                 f"loss {epoch_loss / cfg.steps_per_epoch:.4f}"
                 + (f" R@1 {final_rows[0]['R@1']:.2f}" if (due or epoch == last_epoch) else ""))
 
-    meta = {"run_seed": cfg.seed, "run_id": cfg.run_id,
-            "config": config_as_dict(cfg)}
     save_checkpoint(ckpt_path, params, step, meta, optimizer)
     return TrainResult(config=cfg, model=model, corpus=corpus, steps=step,
                        checkpoint_path=ckpt_path, metrics_jsonl=jsonl_path,

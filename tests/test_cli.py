@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import refalign.train
 from refalign.cli import main
 from refalign.config import RunConfig, write_config
 from refalign.data import CorpusConfig, generate_corpus, load_corpus, save_corpus
@@ -64,6 +65,31 @@ def test_train_with_corpus_file(tmp_path, capsys):
                  "--corpus-file", cpath, "--quiet"])
     assert code == 0
     assert "fromfile.ckpt" in capsys.readouterr().out
+
+
+def test_interrupted_train_resumes_from_its_last_eval(tmp_path, monkeypatch):
+    ini = _ini(tmp_path, run_id="cut", eval_every=1)
+    argv = ["train", "--config", ini, "--variant", "C", "--quiet"]
+    runs = tmp_path / "runs"
+    names = ("cut.ckpt", "cut.metrics.jsonl", "cut.metrics.csv")
+    assert main(argv) == 0
+    straight = [(runs / name).read_bytes() for name in names]
+
+    # 2 steps per epoch: fail the first step of epoch 3
+    step_once = refalign.train.train_step
+
+    def failing(model, optimizer, batch, cfg, schedule, step):
+        if step == 5:
+            raise RuntimeError("interrupted")
+        return step_once(model, optimizer, batch, cfg, schedule, step)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(refalign.train, "train_step", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(argv)
+    assert read_checkpoint(str(runs / "cut.ckpt"))[0] == 4
+    assert main(argv + ["--resume", str(runs / "cut.ckpt")]) == 0
+    assert [(runs / name).read_bytes() for name in names] == straight
 
 
 def test_eval_command(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 
 from refalign import tensor as T
 from refalign.data import derive_rng
-from refalign.losses import (LossConfig, align_loss, contrastive_loss,
-                             fuse_loss, guide_loss, partition_by_labels,
-                             rec_loss, total_loss)
+from refalign.losses import (LossConfig, _pairs, align_loss, contrastive_loss,
+                             fuse_loss, guide_loss, rec_loss, total_loss)
 from refalign.reference import ReferenceBank
 
 LN2 = math.log(2.0)
@@ -46,29 +45,40 @@ def test_config_defaults_and_validation():
             _cfg(**bad)
 
 
-# ------------------------------------------------------------- partitioning
+# -------------------------------------------------------------------- pairs
 
-def test_partition_exhaustive_and_disjoint():
+def test_pairs_exhaustive_disjoint_row_major():
     rng = derive_rng(1, 94)
     rows = rng.integers(0, 4, size=7)
     cols = rng.integers(0, 4, size=5)
-    part = partition_by_labels(rows, cols)
-    pos = set(zip(part.pos_rows.tolist(), part.pos_cols.tolist()))
-    neg = set(zip(part.neg_rows.tolist(), part.neg_cols.tolist()))
-    assert not pos & neg
-    assert len(pos) + len(neg) == 35
-    assert part.n_pos + part.n_neg == 35
-    for r, c in pos:
-        assert rows[r] == cols[c]
-    for r, c in neg:
-        assert rows[r] != cols[c]
+    (pr, pc), (nr, nc) = _pairs(rows, cols)
+    pos = list(zip(pr.tolist(), pc.tolist()))
+    neg = list(zip(nr.tolist(), nc.tolist()))
+    assert not set(pos) & set(neg)
+    assert sorted(pos + neg) == [(r, c) for r in range(7) for c in range(5)]
+    # exactly the equal-label entries, in row-major order
+    assert pos == [(r, c) for r in range(7) for c in range(5) if rows[r] == cols[c]]
+    assert neg == [(r, c) for r in range(7) for c in range(5) if rows[r] != cols[c]]
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        partition_by_labels([], [1])
-    with pytest.raises(ValueError):
-        partition_by_labels([[1]], [1])
+def test_losses_refuse_empty_or_mismatched_labels():
+    bank = _bank([0, 1], 4)
+    empty = T.Tensor(np.empty((0, 4)))
+    reps = T.Tensor(np.ones((2, 4)))
+    for cfg in (_cfg(), _cfg(bank_wide_negatives=True)):
+        with pytest.raises(ValueError, match="empty batch"):
+            align_loss(empty, empty, [], cfg)
+        with pytest.raises(ValueError, match="empty batch"):
+            fuse_loss(bank, empty, [], cfg)
+        with pytest.raises(ValueError, match="empty batch"):
+            guide_loss(empty, bank, [], cfg)
+        for labels in ([0], [0, 1, 1], [[0, 1]]):
+            with pytest.raises(T.ShapeError):
+                align_loss(reps, reps, labels, cfg)
+            with pytest.raises(T.ShapeError):
+                fuse_loss(bank, reps, labels, cfg)
+            with pytest.raises(T.ShapeError):
+                guide_loss(reps, bank, labels, cfg)
 
 
 # ------------------------------------------------------- contrastive anchors
@@ -175,6 +185,28 @@ def test_guide_updates_features_only():
     grads = T.backward(loss, wrt=[p, bank.ref])
     assert np.all(grads[bank.ref] == 0.0)
     assert np.any(grads[p] != 0.0)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_guide_gather_equals_permuted_gather(wide):
+    """guide_loss reads its pairs off the (features x references) matrix
+    in reference-major order; that is the same elements, summed in the
+    same order, as gathering them from the matrix's transpose."""
+    bank = _bank([0, 1, 2, 3], 8, seed=7)
+    p = T.parameter(derive_rng(7, 94).normal(size=(6, 8)))
+    labels = np.array([2, 0, 2, 0, 3, 3])
+    cfg = _cfg(bank_wide_negatives=wide)
+    ref_ids = np.asarray(bank.identity_ids) if wide else np.array([2, 0, 3])
+
+    reps = T.l2_normalize(p)
+    new = guide_loss(reps, bank, labels, cfg)
+    sim = T.permute(T.cosine_matrix(reps, T.stop_gradient(bank.rows_for(ref_ids))),
+                    (1, 0))
+    same = ref_ids[:, None] == labels[None, :]
+    old = T.scale(contrastive_loss(T.take(sim, *np.nonzero(same)),
+                                   T.take(sim, *np.nonzero(~same)), cfg), 1.0 / 6)
+    assert new.data.tobytes() == old.data.tobytes()
+    assert T.backward(new, wrt=[p])[p].tobytes() == T.backward(old, wrt=[p])[p].tobytes()
 
 
 def test_bank_wide_negatives_add_rows():

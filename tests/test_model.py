@@ -73,10 +73,10 @@ def test_encode_pairs_contract():
     corpus = _corpus()
     model = model_for_corpus(_enc(corpus), corpus, seed=0)
     batch = sample_batch(corpus, 3, 2, seed=0)
-    enc = model.encode_pairs(batch)
-    assert enc.text_global.shape == (6, 16)
-    assert enc.image_global.shape == (6, 16)
-    np.testing.assert_array_equal(enc.labels, batch.labels)
+    text, image = model.encode_pairs(batch)
+    for feats in (text, image):
+        assert feats.shape == (6, 16)
+        np.testing.assert_allclose(np.linalg.norm(feats.data, axis=1), 1.0)
 
 
 def _trained_state(corpus, seed=0):

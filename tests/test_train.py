@@ -56,12 +56,25 @@ def test_train_writes_metrics_and_checkpoint(tmp_path):
     assert tuple(table[0]) == METRIC_COLUMNS
 
 
-def test_eval_cadence(tmp_path):
+def test_eval_cadence(tmp_path, monkeypatch):
+    saved = []
+    write = refalign.train.save_checkpoint
+
+    def counted(path, params, step, *rest):
+        saved.append(step)
+        write(path, params, step, *rest)
+
+    monkeypatch.setattr(refalign.train, "save_checkpoint", counted)
     res = train(_cfg(tmp_path, epochs=4, eval_every=2, run_id="cad"))
     rows = [json.loads(line) for line in open(res.metrics_jsonl)]
     # epochs 2 and 4, two directions each, unrefined only
     assert [r["step"] for r in rows] == [6, 6, 12, 12]
     assert all(not r["refined"] for r in rows)
+    # the checkpoint follows each eval; at eval_every=0 it is written once
+    assert saved == [6, 12]
+    saved.clear()
+    train(_cfg(tmp_path, run_id="once"))
+    assert saved == [9]
 
 
 def test_training_is_bit_deterministic(tmp_path):
