@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refalign import refinement
 from refalign.data import derive_rng
 from refalign.evaluation import ranking
 from refalign.refinement import (cosine_scores, fuse_scores,
@@ -35,6 +36,29 @@ def test_orthonormal_bank_preserves_cosines():
     bank = _orthonormal(16)
     np.testing.assert_allclose(reference_similarity(q, g, bank),
                                cosine_scores(q, g), rtol=0, atol=1e-10)
+
+
+def test_reference_products_run_on_one_blas_thread(monkeypatch):
+    threads = refinement._openblas_threads()
+    if threads is None:
+        pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
+    get_threads = threads[0]
+    before = get_threads()
+    seen = []
+    project = refinement.project_to_reference_space
+
+    def spy(features, bank):
+        seen.append(get_threads())
+        return project(features, bank)
+
+    monkeypatch.setattr(refinement, "project_to_reference_space", spy)
+    q, g = _unit_rows(7, 16, seed=3), _unit_rows(9, 16, seed=4)
+    reference_similarity(q, g, _orthonormal(16))
+    assert seen == [1, 1] and get_threads() == before
+    # the count comes back when the products raise, too
+    with pytest.raises(ValueError, match="do not pair"):
+        reference_similarity(q, g, np.ones((3, 5)))
+    assert get_threads() == before
 
 
 def test_fusion_arithmetic():
