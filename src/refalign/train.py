@@ -17,7 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict
-from .data import Corpus, PairBatch, STREAM_MASK, derive_rng, generate_corpus, sample_batch
+from .data import (Corpus, PairBatch, STREAM_MASK, atomic_write, derive_rng,
+                   generate_corpus, sample_batch)
 from .evaluation import ENCODE_CHUNK, encode_split, score_split
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
@@ -59,6 +60,23 @@ def _append_metrics(row: dict, jsonl_path: str, csv_path: str) -> None:
         if fresh:
             writer.writeheader()
         writer.writerow(row)
+
+
+def _drop_metrics_after(step: int, jsonl_path: str, csv_path: str) -> None:
+    """Cut both metric files back to the rows at or before a resume's step,
+    dropping those of an eval whose checkpoint was never written; rows go
+    in step order, so they end each file."""
+    steps = []
+    with suppress(FileNotFoundError), open(jsonl_path) as f:
+        steps = [json.loads(line)["step"] for line in f]
+    keep = sum(s <= step for s in steps)
+    for path, n_lines in ((jsonl_path, keep), (csv_path, keep + 1)):   # + CSV header
+        with suppress(FileNotFoundError):
+            with open(path, "rb") as f:
+                lines = f.readlines()
+            if len(lines) > n_lines:
+                with atomic_write(path) as f:
+                    f.writelines(lines[:n_lines])
 
 
 def _reconstruct_masked(model: RetrievalModel, token_seqs, labels,
@@ -159,7 +177,8 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     The checkpoint is written after the last epoch and after every
     earlier eval epoch.  resume_from restarts mid-schedule from such a
     checkpoint or from one written by stop_after_epochs; both runs must
-    share the config, run_id and out_dir aside.
+    share the config, run_id and out_dir aside.  It appends to the metric
+    files after dropping their rows past the checkpoint's step.
     """
     if corpus is None:
         corpus = generate_corpus(cfg.corpus)
@@ -187,6 +206,7 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
                              f"!= config seed {cfg.seed}")
         _check_resume_config(meta, cfg)
         start_epoch = step // cfg.steps_per_epoch
+        _drop_metrics_after(step, jsonl_path, csv_path)
     else:
         # a fresh run starts its metrics files empty; only a resume appends
         for path in (jsonl_path, csv_path):
@@ -215,8 +235,8 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
             features = encode_split(model, corpus, "test")
             final_rows = _evaluate(model, features, cfg, step, jsonl_path, csv_path)
             if epoch < last_epoch:
-                # an interrupted run resumes from its last eval, whose
-                # metric rows are already on disk
+                # an interrupted run resumes from its last eval; rows of a
+                # later eval whose checkpoint was never written are dropped
                 save_checkpoint(ckpt_path, params, step, meta, optimizer)
         if log is not None:
             log(f"[{cfg.run_id}] epoch {epoch}/{cfg.epochs} "

@@ -92,6 +92,34 @@ def test_interrupted_train_resumes_from_its_last_eval(tmp_path, monkeypatch):
     assert [(runs / name).read_bytes() for name in names] == straight
 
 
+def test_resume_drops_the_rows_of_an_eval_without_its_checkpoint(tmp_path, monkeypatch):
+    ini = _ini(tmp_path, run_id="gap", eval_every=1)
+    argv = ["train", "--config", ini, "--variant", "C", "--quiet"]
+    runs = tmp_path / "runs"
+    names = ("gap.ckpt", "gap.metrics.jsonl", "gap.metrics.csv")
+    assert main(argv) == 0
+    straight = [(runs / name).read_bytes() for name in names]
+
+    # the step-4 eval writes its rows, then the run stops before its checkpoint
+    save_once = refalign.train.save_checkpoint
+
+    def failing(path, params, step, *rest):
+        if step == 4:
+            raise RuntimeError("interrupted")
+        return save_once(path, params, step, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(refalign.train, "save_checkpoint", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(argv)
+    assert read_checkpoint(str(runs / "gap.ckpt"))[0] == 2
+    steps = [json.loads(line)["step"] for line in
+             (runs / "gap.metrics.jsonl").read_text().splitlines()]
+    assert steps[-1] == 4
+    assert main(argv + ["--resume", str(runs / "gap.ckpt")]) == 0
+    assert [(runs / name).read_bytes() for name in names] == straight
+
+
 def test_eval_command(tmp_path, capsys):
     ini = _ini(tmp_path, run_id="evalme")
     main(["train", "--config", ini, "--variant", "C", "--quiet"])
