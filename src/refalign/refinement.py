@@ -1,14 +1,15 @@
 """Inference-time reranking through the reference bank.
 
-Both modalities are projected onto the bank (one coordinate per
-reference), compared by cosine in that space, and the resulting score is
-fused with the base similarity at weight w.  Pure numpy: nothing here
-trains.
+The reference score of a pair is the cosine of their projections onto
+the bank's rows, fused with the base similarity at weight w.  With the
+bank's reduced QR, B = QR, Q has orthonormal columns, so (Bx)·(By) =
+(Rx)·(Ry) and |Bx| = |Rx|: the cosine is taken between Rx and Ry, which
+are min(m, d) wide instead of m.  Pure numpy: nothing here trains.
 
 The reference-space products run on one BLAS thread.  They are narrow
-(inner size d or the bank size); on a loaded 2-vCPU host each hand-off to
-a BLAS worker waited 8-14 ms, against about 1 ms for a whole 1000-row
-product on one thread.  Their last bits then no longer follow the thread count.
+(inner size d or less); on a loaded 2-vCPU host each hand-off to a BLAS
+worker waited 8-14 ms, against about 1 ms for a whole 1000-row product on
+one thread.  Their last bits then no longer follow the thread count.
 """
 from __future__ import annotations
 
@@ -43,15 +44,6 @@ def _one_blas_thread():
         set_(before)
 
 
-def project_to_reference_space(features: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """(n, d) features x (m, d) bank -> (n, m) coordinates."""
-    features = np.asarray(features, dtype=np.float64)
-    bank = np.asarray(bank, dtype=np.float64)
-    if features.ndim != 2 or bank.ndim != 2 or features.shape[1] != bank.shape[1]:
-        raise ValueError(f"projection: shapes {features.shape} / {bank.shape} do not pair")
-    return features @ bank.T
-
-
 def cosine_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs cosine; zero-norm rows are an error, never an epsilon."""
     a = np.asarray(a, dtype=np.float64)
@@ -70,11 +62,15 @@ def cosine_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reference_similarity(query_feats: np.ndarray, gallery_feats: np.ndarray,
                          bank: np.ndarray) -> np.ndarray:
-    """Cosine between bank-space projections of queries and gallery."""
+    """Cosine between the bank-space projections of queries and gallery,
+    taken through the bank's R factor; a feature orthogonal to every
+    reference is an error."""
+    q, g, bank = (np.asarray(a, dtype=np.float64) for a in (query_feats, gallery_feats, bank))
+    if not q.ndim == g.ndim == bank.ndim == 2 or not q.shape[1] == g.shape[1] == bank.shape[1]:
+        raise ValueError(f"reference: shapes {q.shape} / {g.shape} / {bank.shape} do not pair")
     with _one_blas_thread():
-        q = project_to_reference_space(query_feats, bank)
-        g = project_to_reference_space(gallery_feats, bank)
-        return cosine_scores(q, g)
+        r = np.linalg.qr(bank, mode="r")
+        return cosine_scores(q @ r.T, g @ r.T)
 
 
 def _check_weight(weight: float) -> None:

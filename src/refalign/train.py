@@ -65,10 +65,19 @@ def _append_metrics(row: dict, jsonl_path: str, csv_path: str) -> None:
 def _drop_metrics_after(step: int, jsonl_path: str, csv_path: str) -> None:
     """Cut both metric files back to the rows at or before a resume's step,
     dropping those of an eval whose checkpoint was never written; rows go
-    in step order, so they end each file."""
+    in step order, so they end each file.  A checkpoint follows its eval's
+    rows, so a torn last JSONL row is one of those and goes too; a torn
+    row anywhere else is an error."""
+    lines = []
+    with suppress(FileNotFoundError), open(jsonl_path, "rb") as f:
+        lines = f.readlines()
     steps = []
-    with suppress(FileNotFoundError), open(jsonl_path) as f:
-        steps = [json.loads(line)["step"] for line in f]
+    for i, line in enumerate(lines, 1):
+        try:
+            steps.append(json.loads(line)["step"])
+        except ValueError as e:
+            if i < len(lines):
+                raise ValueError(f"resume: {jsonl_path}:{i} is not a metrics row") from e
     keep = sum(s <= step for s in steps)
     for path, n_lines in ((jsonl_path, keep), (csv_path, keep + 1)):   # + CSV header
         with suppress(FileNotFoundError):
@@ -169,16 +178,15 @@ def _check_resume_config(meta: dict, cfg: RunConfig) -> None:
 
 
 def train(cfg: RunConfig, corpus: Corpus | None = None,
-          resume_from: str | None = None,
-          stop_after_epochs: int | None = None,
-          log=None) -> TrainResult:
+          resume_from: str | None = None, log=None) -> TrainResult:
     """Run the configured protocol end to end.
 
     The checkpoint is written after the last epoch and after every
-    earlier eval epoch.  resume_from restarts mid-schedule from such a
-    checkpoint or from one written by stop_after_epochs; both runs must
-    share the config, run_id and out_dir aside.  It appends to the metric
-    files after dropping their rows past the checkpoint's step.
+    earlier eval epoch.  resume_from restarts mid-schedule from such an
+    earlier checkpoint; both runs must share the config, run_id and
+    out_dir aside, and a finished run's checkpoint is refused.  It appends
+    to the metric files after dropping their rows past the checkpoint's
+    step.
     """
     if corpus is None:
         corpus = generate_corpus(cfg.corpus)
@@ -190,7 +198,6 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     optimizer = Adam(list(params.values()))
     schedule = ScheduleConfig(cfg.peak_lr, cfg.warmup_epochs, cfg.epochs,
                               cfg.steps_per_epoch)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.ckpt")
     jsonl_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.jsonl")
     csv_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.csv")
@@ -205,6 +212,9 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
             raise ValueError(f"resume: checkpoint seed {meta.get('run_seed')} "
                              f"!= config seed {cfg.seed}")
         _check_resume_config(meta, cfg)
+        if step == cfg.epochs * cfg.steps_per_epoch:
+            raise ValueError(f"resume: {resume_from} is at step {step}, the end of "
+                             f"the schedule; the run is finished")
         start_epoch = step // cfg.steps_per_epoch
         _drop_metrics_after(step, jsonl_path, csv_path)
     else:
@@ -212,14 +222,13 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         for path in (jsonl_path, csv_path):
             with suppress(FileNotFoundError):
                 os.remove(path)
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
-    last_epoch = cfg.epochs if stop_after_epochs is None \
-        else min(cfg.epochs, stop_after_epochs)
     meta = {"run_seed": cfg.seed, "run_id": cfg.run_id,
             "config": config_as_dict(cfg)}
     final_rows: list[dict] = []
     features = None
-    for epoch in range(start_epoch + 1, last_epoch + 1):
+    for epoch in range(start_epoch + 1, cfg.epochs + 1):
         epoch_loss = 0.0
         for _ in range(cfg.steps_per_epoch):
             step += 1
@@ -231,17 +240,17 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
                 raise RuntimeError(f"training aborted at step {step} "
                                    f"(epoch {epoch}): {e}") from e
         due = cfg.eval_every and epoch % cfg.eval_every == 0
-        if due or epoch == last_epoch:
+        if due or epoch == cfg.epochs:
             features = encode_split(model, corpus, "test")
             final_rows = _evaluate(model, features, cfg, step, jsonl_path, csv_path)
-            if epoch < last_epoch:
+            if epoch < cfg.epochs:
                 # an interrupted run resumes from its last eval; rows of a
                 # later eval whose checkpoint was never written are dropped
                 save_checkpoint(ckpt_path, params, step, meta, optimizer)
         if log is not None:
             log(f"[{cfg.run_id}] epoch {epoch}/{cfg.epochs} "
                 f"loss {epoch_loss / cfg.steps_per_epoch:.4f}"
-                + (f" R@1 {final_rows[0]['R@1']:.2f}" if (due or epoch == last_epoch) else ""))
+                + (f" R@1 {final_rows[0]['R@1']:.2f}" if (due or epoch == cfg.epochs) else ""))
 
     save_checkpoint(ckpt_path, params, step, meta, optimizer)
     return TrainResult(config=cfg, model=model, corpus=corpus, steps=step,

@@ -90,6 +90,10 @@ def test_interrupted_train_resumes_from_its_last_eval(tmp_path, monkeypatch):
     assert read_checkpoint(str(runs / "cut.ckpt"))[0] == 4
     assert main(argv + ["--resume", str(runs / "cut.ckpt")]) == 0
     assert [(runs / name).read_bytes() for name in names] == straight
+    # the run is now finished: a further resume is refused and writes nothing
+    with pytest.raises(ValueError, match="cut.ckpt is at step 6, .* finished"):
+        main(argv + ["--resume", str(runs / "cut.ckpt")])
+    assert [(runs / name).read_bytes() for name in names] == straight
 
 
 def test_resume_drops_the_rows_of_an_eval_without_its_checkpoint(tmp_path, monkeypatch):

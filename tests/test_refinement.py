@@ -5,7 +5,6 @@ from refalign import refinement
 from refalign.data import derive_rng
 from refalign.evaluation import ranking
 from refalign.refinement import (cosine_scores, fuse_scores,
-                                 project_to_reference_space,
                                  reference_similarity, refined_scores)
 
 
@@ -17,12 +16,6 @@ def _unit_rows(n, d, seed=0):
 def _orthonormal(d, seed=0):
     q, _ = np.linalg.qr(derive_rng(55, 97, seed).normal(size=(d, d)))
     return q
-
-
-def test_identity_bank_projection_is_identity():
-    feats = _unit_rows(4, 6)
-    np.testing.assert_array_equal(project_to_reference_space(feats, np.eye(6)),
-                                  feats)
 
 
 def test_identity_bank_reference_similarity_equals_base():
@@ -38,6 +31,24 @@ def test_orthonormal_bank_preserves_cosines():
                                cosine_scores(q, g), rtol=0, atol=1e-10)
 
 
+def test_r_factor_equals_the_bank_projection():
+    # B = QR with orthonormal Q, so the cosine of Bx and By is the cosine
+    # of Rx and Ry; the m-wide form is computed here as the reference
+    d = 32
+    rng = derive_rng(55, 98)
+    q, g = rng.normal(size=(40, d)), rng.normal(size=(50, d))
+    for std in (0.02, 1.0):
+        banks = {"m > d": rng.normal(scale=std, size=(200, d)),
+                 "m = d": rng.normal(scale=std, size=(d, d)),
+                 "m < d": rng.normal(scale=std, size=(8, d)),
+                 "rank 10": rng.normal(scale=std, size=(200, 10))
+                 @ rng.normal(size=(10, d))}
+        for name, bank in banks.items():
+            old = cosine_scores(q @ bank.T, g @ bank.T)
+            np.testing.assert_allclose(reference_similarity(q, g, bank), old,
+                                       rtol=0, atol=1e-13, err_msg=f"{name}, std {std}")
+
+
 def test_reference_products_run_on_one_blas_thread(monkeypatch):
     threads = refinement._openblas_threads()
     if threads is None:
@@ -45,20 +56,27 @@ def test_reference_products_run_on_one_blas_thread(monkeypatch):
     get_threads = threads[0]
     before = get_threads()
     seen = []
-    project = refinement.project_to_reference_space
+    qr, cosine = np.linalg.qr, refinement.cosine_scores
+    q, g, bank = _unit_rows(7, 16, seed=3), _unit_rows(9, 16, seed=4), _orthonormal(16)
 
-    def spy(features, bank):
-        seen.append(get_threads())
-        return project(features, bank)
+    def spy(fn, name):
+        def call(*args, **kwargs):
+            seen.append((name, get_threads()))
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(refinement, "project_to_reference_space", spy)
-    q, g = _unit_rows(7, 16, seed=3), _unit_rows(9, 16, seed=4)
-    reference_similarity(q, g, _orthonormal(16))
-    assert seen == [1, 1] and get_threads() == before
-    # the count comes back when the products raise, too
+    monkeypatch.setattr(np.linalg, "qr", spy(qr, "qr"))
+    monkeypatch.setattr(refinement, "cosine_scores", spy(cosine, "cosine"))
+    reference_similarity(q, g, bank)
+    assert seen == [("qr", 1), ("cosine", 1)] and get_threads() == before
+    # the count comes back when the call raises, too: on a shape error and
+    # on a zero projection, which the cosine finds inside the one-thread block
     with pytest.raises(ValueError, match="do not pair"):
         reference_similarity(q, g, np.ones((3, 5)))
     assert get_threads() == before
+    with pytest.raises(ValueError, match="row 0"):
+        reference_similarity(np.eye(16)[:2], g, np.eye(16)[2:])
+    assert seen[-1] == ("cosine", 1) and get_threads() == before
 
 
 def test_fusion_arithmetic():
@@ -97,8 +115,8 @@ def test_weight_validation():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        project_to_reference_space(np.ones((2, 4)), np.ones((3, 5)))
+    with pytest.raises(ValueError, match="do not pair"):
+        reference_similarity(np.ones((2, 4)), np.ones((2, 4)), np.ones(4))
     with pytest.raises(ValueError):
         cosine_scores(np.ones((2, 4)), np.ones((2, 5)))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Training loop: files, determinism, resume, ablation plumbing."""
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -88,44 +89,61 @@ def test_training_is_bit_deterministic(tmp_path):
     assert [open(path, "rb").read() for path in files] == blobs
 
 
-def test_stop_and_resume_matches_straight_run(tmp_path):
-    straight = _cfg(tmp_path, run_id="straight").with_variant("C")
-    broken = _cfg(tmp_path, run_id="resumed",
+def _interrupt(cfg, monkeypatch, step):
+    """Run cfg until train_step raises at step; -> its checkpoint path,
+    which holds the last eval before that step."""
+    step_once = refalign.train.train_step
+
+    def failing(model, optimizer, batch, cfg, schedule, at):
+        if at == step:
+            raise RuntimeError("interrupted")
+        return step_once(model, optimizer, batch, cfg, schedule, at)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(refalign.train, "train_step", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            train(cfg)
+    return os.path.join(cfg.out_dir, f"{cfg.run_id}.ckpt")
+
+
+def test_stop_and_resume_matches_straight_run(tmp_path, monkeypatch):
+    straight = _cfg(tmp_path, run_id="straight", eval_every=1).with_variant("C")
+    broken = _cfg(tmp_path, run_id="resumed", eval_every=1,
                   out_dir=str(tmp_path / "part")).with_variant("C")
     full = train(straight)
-    part = train(broken, stop_after_epochs=1)
-    assert part.steps == 3
-    resumed = train(broken, resume_from=part.checkpoint_path)
+    # 3 steps per epoch: fail the first step of epoch 2
+    part = _interrupt(broken, monkeypatch, step=4)
+    assert read_checkpoint(part)[0] == 3
+    resumed = train(broken, resume_from=part)
     assert resumed.steps == full.steps
     _, _, want = read_checkpoint(full.checkpoint_path)
     _, _, got = read_checkpoint(resumed.checkpoint_path)
     for name in want:
         np.testing.assert_array_equal(want[name], got[name])
-    # the resume appends to the stopped part's rows (epoch 1), which a
-    # straight run never writes at eval_every=0
+    # the resume appends to the interrupted part's rows (epoch 1)
     rows = [json.loads(line) for line in open(resumed.metrics_jsonl)]
-    assert [r["step"] for r in rows] == [3, 3, 9, 9]
+    assert [r["step"] for r in rows] == [3, 3, 6, 6, 9, 9]
     assert [dict(json.loads(line), run_id=resumed.config.run_id)
-            for line in open(full.metrics_jsonl)] == rows[2:]
+            for line in open(full.metrics_jsonl)] == rows
     with open(resumed.metrics_csv, newline="") as f:
-        assert [int(r["step"]) for r in csv.DictReader(f)] == [3, 3, 9, 9]
+        assert [int(r["step"]) for r in csv.DictReader(f)] == [3, 3, 6, 6, 9, 9]
 
 
-def test_resume_validation(tmp_path):
-    cfg = _cfg(tmp_path, run_id="guard").with_variant("C")
-    part = train(cfg, stop_after_epochs=1)
+def test_resume_validation(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, run_id="guard", eval_every=1).with_variant("C")
+    part = _interrupt(cfg, monkeypatch, step=4)
     with pytest.raises(ValueError, match="seed"):
-        train(cfg.with_seed(1), resume_from=part.checkpoint_path)
+        train(cfg.with_seed(1), resume_from=part)
     with pytest.raises(ValueError, match="'peak_lr'"):
-        train(replace(cfg, peak_lr=2e-3), resume_from=part.checkpoint_path)
+        train(replace(cfg, peak_lr=2e-3), resume_from=part)
     with pytest.raises(ValueError, match="'epochs'"):
-        train(replace(cfg, epochs=4), resume_from=part.checkpoint_path)
+        train(replace(cfg, epochs=4), resume_from=part)
     with pytest.raises(ValueError, match="'corpus.p_drop'"):
         train(replace(cfg, corpus=replace(cfg.corpus, p_drop=0.5)),
-              resume_from=part.checkpoint_path)
+              resume_from=part)
     # where the run writes is not part of what it computes
     moved = train(replace(cfg, run_id="moved", out_dir=str(tmp_path / "moved")),
-                  resume_from=part.checkpoint_path)
+                  resume_from=part)
     assert moved.steps == 3 * 3
 
     from refalign.model import save_checkpoint
@@ -137,6 +155,44 @@ def test_resume_validation(tmp_path):
                     meta={"run_seed": 0}, optimizer=Adam(model.parameters()))
     with pytest.raises(ValueError, match="boundary"):
         train(cfg, resume_from=odd)
+
+
+def _run_files(res):
+    return [open(path, "rb").read()
+            for path in (res.checkpoint_path, res.metrics_jsonl, res.metrics_csv)]
+
+
+def test_resume_refuses_a_finished_run(tmp_path):
+    res = train(_cfg(tmp_path, run_id="done", eval_every=1).with_variant("C"))
+    before = _run_files(res)
+    with pytest.raises(ValueError, match=r"done-C\.ckpt is at step 9, .* finished"):
+        train(res.config, resume_from=res.checkpoint_path)
+    assert _run_files(res) == before
+
+
+def test_resume_drops_a_torn_last_row(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, run_id="torn", eval_every=1).with_variant("C")
+    straight = train(cfg)
+    want = _run_files(straight)
+    # a rerun is interrupted in the middle of the first row of its step-6 eval
+    part = _interrupt(cfg, monkeypatch, step=7)
+    with open(straight.metrics_jsonl, "ab") as f:
+        f.write(want[1].splitlines(keepends=True)[4][:40])
+    train(cfg, resume_from=part)
+    assert _run_files(straight) == want
+
+
+def test_resume_names_a_torn_row_before_the_last(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, run_id="mid", eval_every=1).with_variant("C")
+    part = _interrupt(cfg, monkeypatch, step=7)
+    jsonl = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.jsonl")
+    lines = open(jsonl, "rb").readlines()
+    lines[1] = lines[1][:40] + b"\n"
+    with open(jsonl, "wb") as f:
+        f.writelines(lines)
+    with pytest.raises(ValueError, match=r"mid-C\.metrics\.jsonl:2 is not a metrics row"):
+        train(cfg, resume_from=part)
+    assert open(jsonl, "rb").readlines() == lines
 
 
 def test_train_rejects_foreign_corpus(tmp_path):
