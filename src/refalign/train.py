@@ -23,6 +23,7 @@ from .evaluation import ENCODE_CHUNK, encode_split, score_split
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
 from .reference import mask_tokens
+from .refinement import _one_blas_thread
 from .tensor import Adam, NumericsError, ScheduleConfig, lr_at
 
 REPORT_KEYS = ("R@1", "R@5", "R@10", "mAP", "AP@N")
@@ -317,11 +318,35 @@ def _variant_rows(cfg: RunConfig, corpus: Corpus, settings, log) -> list[tuple]:
     return [(row, scored[w]) for row, w in settings]
 
 
+def _plan_job(cfg: RunConfig, corpus: Corpus, settings) -> tuple[list, list[str]]:
+    """One (seed, variant) job of _run_plan, as a pool worker runs it:
+    _variant_rows on one BLAS thread, its progress lines kept
+    -> (report rows, log lines)."""
+    lines: list[str] = []
+    with _one_blas_thread():
+        rows = _variant_rows(cfg, corpus, settings, lines.append)
+    return rows, lines
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan, log) -> dict:
     """Per seed, train each variant of plan once and score its settings;
     plan is ((variant, [(row, w), ...]), ...) -> row -> per-seed report
-    rows.  Repeated seeds or rows and bad weights are refused before the
-    first training."""
+    rows, in seed order.  Repeated seeds or rows, bad weights and a corpus
+    that does not match base.corpus are refused before any worker starts.
+
+    Each (seed, variant) job runs in a spawned worker process, on one BLAS
+    thread, with up to one worker per usable CPU; the longest jobs go
+    first.  A job's log lines are replayed in plan order, each once every
+    job before it has finished.  A failed job raises here, naming its
+    run_id, and cancels the jobs not yet started.  Spawn re-imports the
+    caller's main module, so a script that gets here must guard its entry
+    point with `if __name__ == "__main__":`."""
     seeds = [int(s) for s in seeds]
     names = [row for _, settings in plan for row, _ in settings]
     weights = [w for _, settings in plan for _, w in settings]
@@ -334,13 +359,43 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan, log) -> dict:
                          f"finite and >= 0")
     if corpus is None:
         corpus = generate_corpus(base.corpus)
+    elif corpus.config != base.corpus:
+        raise ValueError("ablation: corpus does not match base.corpus; epoch "
+                         "accounting and batch sampling key off the config")
+    # imported here: the pool's modules add ~2 MB to every process that
+    # imports this one, and only the ablation uses them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    jobs = [(base.with_seed(seed).with_variant(variant), settings)
+            for seed in seeds for variant, settings in plan]
+    # longest first (reconstruction, then guidance), so no long job starts last
+    longest_first = sorted(range(len(jobs)), key=lambda i: (not jobs[i][0].reconstructs,
+                                                            not jobs[i][0].guided))
+    results: list = [None] * len(jobs)
+    pool = ProcessPoolExecutor(min(len(jobs), _usable_cpus()),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = {pool.submit(_plan_job, jobs[i][0], corpus, jobs[i][1]): i
+                   for i in longest_first}
+        logged = 0
+        for future in as_completed(futures):
+            i = futures[future]
+            try:
+                results[i] = future.result()
+            except Exception as e:
+                raise RuntimeError(f"ablation job {jobs[i][0].run_id} failed: "
+                                   f"{type(e).__name__}: {e}") from e
+            while logged < len(jobs) and results[logged] is not None:
+                if log is not None:
+                    for line in results[logged][1]:
+                        log(line)
+                logged += 1
+    finally:
+        pool.shutdown(cancel_futures=True)
     rows = {row: [] for row in names}
-    for seed in seeds:
-        cfg_s = base.with_seed(seed)
-        for variant, settings in plan:
-            for row, metrics in _variant_rows(cfg_s.with_variant(variant), corpus,
-                                              settings, log):
-                rows[row].append(metrics)
+    for job_rows, _ in results:
+        for row, metrics in job_rows:
+            rows[row].append(metrics)
     return rows
 
 
@@ -351,6 +406,22 @@ def _sweep_settings(w_grid) -> list[tuple]:
 def _sweep_entries(w_grid, rows: dict) -> list[dict]:
     return [{"w": g, **_aggregate(rows[float(g)]), "per_seed": rows[float(g)]}
             for g in w_grid]
+
+
+def _ablation_plan(w: float, w_grid) -> tuple:
+    return (("Baseline", [("Baseline", 0.0)]),
+            ("A", [("A", 0.0), ("B", w)]),
+            ("C", [("C", 0.0), ("Full", w), *_sweep_settings(w_grid)]))
+
+
+def _ablation_report(seeds, w_grid, rows: dict) -> dict:
+    return {
+        "seeds": [int(s) for s in seeds],
+        "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(w_grid)),
+        "variants": [{"variant": v, **_aggregate(rows[v]), "per_seed": rows[v]}
+                     for v in VARIANT_ORDER],
+        "sweep": _sweep_entries(w_grid, rows),
+    }
 
 
 def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
@@ -364,19 +435,15 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     encoded once, by train()'s final eval; the plain rows reuse that
     eval's score and each distinct reranking weight is scored once from
     its features.
+
+    The trainings run on up to one spawned worker process per usable
+    CPU, each on one BLAS thread, and log arrives one finished training
+    at a time (see _run_plan).  Spawn re-imports the main module, so a
+    script that calls this must guard its entry point with
+    `if __name__ == "__main__":`.
     """
-    w = base.loss.refine_weight
-    plan = (("Baseline", [("Baseline", 0.0)]),
-            ("A", [("A", 0.0), ("B", w)]),
-            ("C", [("C", 0.0), ("Full", w), *_sweep_settings(w_grid)]))
-    rows = _run_plan(base, seeds, corpus, plan, log)
-    return {
-        "seeds": [int(s) for s in seeds],
-        "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(w_grid)),
-        "variants": [{"variant": v, **_aggregate(rows[v]), "per_seed": rows[v]}
-                     for v in VARIANT_ORDER],
-        "sweep": _sweep_entries(w_grid, rows),
-    }
+    rows = _run_plan(base, seeds, corpus, _ablation_plan(base.loss.refine_weight, w_grid), log)
+    return _ablation_report(seeds, w_grid, rows)
 
 
 def write_ablation_report(report: dict, out_dir: str, name: str = "ablation") -> tuple[str, str]:
@@ -419,6 +486,8 @@ def format_ablation_table(report: dict) -> str:
 def sweep_w(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
             w_grid=W_SWEEP_GRID, log=None) -> dict:
     """Train the full model per seed, then re-score it across the w grid
-    from the features of train()'s final eval."""
+    from the features of train()'s final eval.  The trainings run on
+    spawned worker processes as ablate's do, under the same
+    `if __name__ == "__main__":` guard."""
     rows = _run_plan(base, seeds, corpus, (("C", _sweep_settings(w_grid)),), log)
     return {"seeds": [int(s) for s in seeds], "sweep": _sweep_entries(w_grid, rows)}

@@ -1,6 +1,8 @@
 """Training loop: files, determinism, resume, ablation plumbing."""
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -15,6 +17,7 @@ from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint
 from refalign.tensor import Adam, ScheduleConfig
 import refalign.train
+from refalign import refinement
 from refalign.train import (METRIC_COLUMNS, ablate, format_ablation_table,
                             masked_eval, sweep_w, train, train_step,
                             write_ablation_report)
@@ -255,7 +258,21 @@ def test_rerank_at_zero_weight_is_the_plain_score(tmp_path):
         np.testing.assert_array_equal(zero.rankings, plain.rankings)
 
 
+def _in_process_rows(cfg, plan, seed, log) -> dict:
+    """The rows _run_plan's pool assembles for one seed, from _variant_rows
+    run here, one plan entry after another, where the spies can see it."""
+    corpus = generate_corpus(cfg.corpus)
+    rows = {}
+    for variant, settings in plan:
+        for row, metrics in refalign.train._variant_rows(
+                cfg.with_seed(seed).with_variant(variant), corpus, settings, log):
+            rows.setdefault(row, []).append(metrics)
+    return rows
+
+
 def test_ablation_report_structure(tmp_path, monkeypatch):
+    # spawned workers are out of the spies' reach, so the calls are counted
+    # on _variant_rows run in-process, and the pool must then equal that
     encodes, scorings = [], []
     real_encode = refalign.train.encode_split
     real_score = refalign.train.score_split
@@ -264,7 +281,10 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
     monkeypatch.setattr(refalign.train, "score_split",
                         lambda *a: scorings.append(a[4:]) or real_score(*a))
     cfg = _cfg(tmp_path, run_id="abl")
-    report = ablate(cfg, seeds=(0,))
+    serial_lines = []
+    serial = refalign.train._ablation_report((0,), W_SWEEP_GRID, _in_process_rows(
+        cfg, refalign.train._ablation_plan(cfg.loss.refine_weight, W_SWEEP_GRID), 0,
+        serial_lines.append))
     # Baseline, A and C each encoded once, by train()'s final eval
     assert encodes == ["test"] * 3
     # their final evals score t2i and i2t plainly (6); the plain rows reuse
@@ -272,6 +292,20 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
     # nonzero weights are scored again (the sweep's 0.5 is Full's)
     assert len(scorings) == 12
     assert [w for _, refined, w in scorings if refined] == [0.5, 0.5, 0.1, 0.3, 0.7, 0.9]
+
+    lines = []
+    report = ablate(cfg, seeds=(0,), log=lines.append)
+    assert report == serial
+    assert lines == serial_lines
+    assert [line.split("]")[0] for line in lines] == \
+        [f"[abl-s0-{v}" for v in ("Baseline", "A", "C") for _ in range(cfg.epochs)]
+    for name, rep in (("serial", serial), ("pooled", report)):
+        write_ablation_report(rep, str(tmp_path / name))
+    for file in ("ablation.json", "ablation.csv"):
+        assert (tmp_path / "pooled" / file).read_bytes() == \
+            (tmp_path / "serial" / file).read_bytes()
+    assert format_ablation_table(report) == format_ablation_table(serial)
+
     assert report["seeds"] == [0]
     assert report["runs_aggregated"] == 1 * (5 + len(W_SWEEP_GRID))
     assert [v["variant"] for v in report["variants"]] == \
@@ -302,16 +336,65 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
 
     # sweep_w trains and encodes C once more and scores the same grid:
     # its final eval twice, then the five nonzero weights
-    assert sweep_w(cfg, seeds=(0,))["sweep"] == report["sweep"]
+    sweep_plan = (("C", refalign.train._sweep_settings(W_SWEEP_GRID)),)
+    sweep_rows = _in_process_rows(cfg, sweep_plan, 0, None)
     assert len(encodes) == 4
     assert len(scorings) == 12 + 7
+    assert refalign.train._sweep_entries(W_SWEEP_GRID, sweep_rows) == report["sweep"]
+    # over two seeds the pool keeps seed order, whichever job ends first
+    for row, metrics in _in_process_rows(cfg, sweep_plan, 1, None).items():
+        sweep_rows[row] += metrics
+    assert sweep_w(cfg, seeds=(0, 1))["sweep"] == \
+        refalign.train._sweep_entries(W_SWEEP_GRID, sweep_rows)
+    assert multiprocessing.active_children() == []
+
+
+def test_ablation_job_failure_raises_with_its_run_id(tmp_path):
+    # an out_dir that is a regular file fails train() inside the worker
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    cfg = _cfg(tmp_path, run_id="boom", out_dir=str(blocker))
+    with pytest.raises(RuntimeError, match=r"ablation job boom-s0-\w+ failed"):
+        sweep_w(cfg, seeds=(0,))
+    with pytest.raises(RuntimeError, match=r"ablation job boom-s\d-\w+ failed"):
+        ablate(cfg, seeds=(0, 1))
+    assert multiprocessing.active_children() == []
+
+
+def test_plan_job_runs_on_one_blas_thread(tmp_path, monkeypatch):
+    threads = refinement._openblas_threads()
+    if threads is None:
+        pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
+    get_threads, set_threads = threads
+    seen = []
+
+    def spy(cfg, corpus, settings, log):
+        seen.append(get_threads())
+        log(f"[{cfg.run_id}] spied")
+        if settings == "raise":
+            raise ValueError("spy")
+        return [("row", {})]
+
+    monkeypatch.setattr(refalign.train, "_variant_rows", spy)
+    before = get_threads()
+    set_threads(2)          # so that one thread is a change even on one CPU
+    try:
+        cfg = _cfg(tmp_path, run_id="one")
+        assert refalign.train._plan_job(cfg, None, []) == ([("row", {})], ["[one] spied"])
+        assert seen == [1] and get_threads() == 2
+        with pytest.raises(ValueError, match="spy"):
+            refalign.train._plan_job(cfg, None, "raise")
+        assert seen == [1, 1] and get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 def test_ablation_refuses_bad_inputs_before_training(tmp_path, monkeypatch):
-    trainings = []
-    monkeypatch.setattr(refalign.train, "train",
-                        lambda *a, **kw: trainings.append(a))
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *a, **kw: pools.append(a))
     cfg = _cfg(tmp_path, run_id="bad")
+    other = generate_corpus(replace(_CC, seed=3))
     for run, kw, match in ((ablate, dict(seeds=(0, 0)), "distinct"),
                            (sweep_w, dict(seeds=(0, 0)), "distinct"),
                            (sweep_w, dict(seeds=()), "non-empty"),
@@ -319,10 +402,11 @@ def test_ablation_refuses_bad_inputs_before_training(tmp_path, monkeypatch):
                            (sweep_w, dict(w_grid=(0.1, 0.3, 0.1)), "repeat"),
                            (ablate, dict(w_grid=(0.0, -0.1)), "bad weight"),
                            (sweep_w, dict(w_grid=(float("nan"),)), "bad weight"),
-                           (sweep_w, dict(w_grid=(float("inf"),)), "bad weight")):
+                           (sweep_w, dict(w_grid=(float("inf"),)), "bad weight"),
+                           (ablate, dict(corpus=other), "does not match")):
         with pytest.raises(ValueError, match=match):
             run(cfg, **{"seeds": (0,), **kw})
-    assert trainings == []
+    assert pools == []
 
 
 class _RecordingAdam(Adam):
