@@ -79,14 +79,14 @@ def _attach_corpus(cfg: RunConfig, corpus) -> RunConfig:
     return dataclasses.replace(cfg, corpus=corpus.config)
 
 
-def _parse_seeds(raw: str) -> tuple[int, ...]:
+def _comma_list(raw: str, kind, flag: str) -> tuple:
+    """A comma-separated flag value as a tuple of kind; exits naming the
+    flag when a part does not parse."""
     try:
-        seeds = tuple(int(part) for part in raw.split(","))
+        return tuple(kind(part) for part in raw.split(","))
     except ValueError:
-        raise SystemExit(f"--seeds: expected comma-separated integers, got {raw!r}")
-    if not seeds:
-        raise SystemExit("--seeds: empty")
-    return seeds
+        raise SystemExit(f"{flag}: expected comma-separated {kind.__name__} values, "
+                         f"got {raw!r}")
 
 
 # ----------------------------------------------------------------- commands
@@ -139,7 +139,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     base = _run_config(args, args._field_names)
     corpus = _load_corpus_arg(args)
     base = _attach_corpus(base, corpus)
-    report = ablate(base, seeds=_parse_seeds(args.seeds), corpus=corpus,
+    report = ablate(base, seeds=_comma_list(args.seeds, int, "--seeds"), corpus=corpus,
                     log=None if args.quiet else print)
     json_path, csv_path = write_ablation_report(report, base.out_dir)
     print(format_ablation_table(report))
@@ -152,9 +152,9 @@ def _cmd_sweep_w(args: argparse.Namespace) -> int:
     base = _run_config(args, args._field_names)
     corpus = _load_corpus_arg(args)
     base = _attach_corpus(base, corpus)
-    grid = tuple(float(part) for part in args.grid.split(","))
-    report = sweep_w(base, seeds=_parse_seeds(args.seeds), corpus=corpus,
-                     w_grid=grid, log=None if args.quiet else print)
+    report = sweep_w(base, seeds=_comma_list(args.seeds, int, "--seeds"), corpus=corpus,
+                     w_grid=_comma_list(args.grid, float, "--grid"),
+                     log=None if args.quiet else print)
     print(format_ablation_table(report))
     return 0
 
@@ -220,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eval" and args.w is not None and not args.refine:
+        parser.error("eval: --w sets the reranking weight, so it needs --refine")
     return args.func(args)
 
 

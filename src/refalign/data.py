@@ -326,7 +326,9 @@ def load_arrays(path: str, magic: bytes, version: int,
                 what: str) -> tuple[dict, dict[str, np.ndarray]]:
     """-> (header, name -> float64 array) of a save_arrays file.  Each
     array is read straight into its own buffer, never the whole file; a
-    cut file fails naming the header, the manifest or the array it ends in."""
+    cut file fails naming the header, the manifest or the array it ends
+    in, and a manifest that is not a JSON object with `arrays` fails as a
+    bad manifest."""
     with open(path, "rb") as f:
         head = f.read(16)
         if len(head) < 16:
@@ -339,7 +341,12 @@ def load_arrays(path: str, magic: bytes, version: int,
         raw = f.read(mlen)
         if len(raw) < mlen:
             raise ValueError(f"{what}: truncated in manifest")
-        header = json.loads(raw)
+        try:
+            header = json.loads(raw)
+        except ValueError as e:
+            raise ValueError(f"{what}: bad manifest") from e
+        if not isinstance(header, dict) or "arrays" not in header:
+            raise ValueError(f"{what}: bad manifest")
         arrays: dict[str, np.ndarray] = {}
         for entry in header.pop("arrays"):
             shape = tuple(entry["shape"])

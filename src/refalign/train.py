@@ -8,6 +8,7 @@ trajectory bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from contextlib import suppress
@@ -294,38 +295,30 @@ def masked_eval(model: RetrievalModel, corpus: Corpus, split: str = "train",
 
 # ---------------------------------------------------------------- ablation
 
-def _aggregate(rows_by_seed: list[dict]) -> dict:
-    mean = {k: float(np.mean([r[k] for r in rows_by_seed])) for k in REPORT_KEYS}
-    std = {k: float(np.std([r[k] for r in rows_by_seed])) for k in REPORT_KEYS}
-    return {"mean": mean, "std": std}
+def _entry(rows: list[dict]) -> dict:
+    """One report row: mean and std over seeds, and the per-seed rows."""
+    return {"mean": {k: float(np.mean([r[k] for r in rows])) for k in REPORT_KEYS},
+            "std": {k: float(np.std([r[k] for r in rows])) for k in REPORT_KEYS},
+            "per_seed": rows}
 
 
-def _variant_rows(cfg: RunConfig, corpus: Corpus, settings, log) -> list[tuple]:
-    """Train one variant, then score text-to-image from the features its
-    final eval encoded, once per distinct reranking weight w among the
-    (row, w) settings; w = 0.0 is the plain score (reranking at w = 0
-    moves nothing), which the final eval already holds.
-    -> [(row, report row)] in settings order."""
-    result = train(cfg, corpus, log=log)
-    plain = next(r for r in result.final_metrics
-                 if r["direction"] == "t2i" and not r["refined"])
-    scored = {0.0: {k: plain[k] for k in REPORT_KEYS}}
-    bank = result.model.bank.matrix()
-    for _, w in settings:
-        if w not in scored:
-            scored[w] = _report_columns(score_split(*result.features, bank, "t2i",
-                                                    True, w).metrics)
-    return [(row, scored[w]) for row, w in settings]
-
-
-def _plan_job(cfg: RunConfig, corpus: Corpus, settings) -> tuple[list, list[str]]:
-    """One (seed, variant) job of _run_plan, as a pool worker runs it:
-    _variant_rows on one BLAS thread, its progress lines kept
-    -> (report rows, log lines)."""
+def _plan_job(cfg: RunConfig, corpus: Corpus, weights) -> tuple[dict, list[str]]:
+    """One (seed, variant) job of _run_plan, as a pool worker runs it, on
+    one BLAS thread: train the variant, then score text-to-image from the
+    features its final eval encoded, once per reranking weight w.  w = 0.0
+    is the plain score (reranking at w = 0 moves nothing), which the final
+    eval already holds.  -> ({w: report row}, progress lines)."""
     lines: list[str] = []
     with _one_blas_thread():
-        rows = _variant_rows(cfg, corpus, settings, lines.append)
-    return rows, lines
+        result = train(cfg, corpus, log=lines.append)
+        plain = next(r for r in result.final_metrics
+                     if r["direction"] == "t2i" and not r["refined"])
+        scores = {0.0: _report_columns(plain)}
+        for w in weights:
+            if w not in scores:
+                scores[w] = _report_columns(score_split(
+                    *result.features, result.model.bank.matrix(), "t2i", True, w).metrics)
+    return scores, lines
 
 
 def _usable_cpus() -> int:
@@ -334,26 +327,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan, log) -> dict:
-    """Per seed, train each variant of plan once and score its settings;
-    plan is ((variant, [(row, w), ...]), ...) -> row -> per-seed report
-    rows, in seed order.  Repeated seeds or rows, bad weights and a corpus
-    that does not match base.corpus are refused before any worker starts.
+def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) -> dict:
+    """Per seed, train each variant of plan, {variant: reranking weights},
+    once and score it at w = 0.0 and at each of its weights
+    -> {(variant, w): per-seed report rows, in seed order}.  Repeated or
+    no seeds, bad weights and a corpus that does not match base.corpus
+    are refused before any worker starts.
 
     Each (seed, variant) job runs in a spawned worker process, on one BLAS
     thread, with up to one worker per usable CPU; the longest jobs go
-    first.  A job's log lines are replayed in plan order, each once every
-    job before it has finished.  A failed job raises here, naming its
-    run_id, and cancels the jobs not yet started.  Spawn re-imports the
-    caller's main module, so a script that gets here must guard its entry
-    point with `if __name__ == "__main__":`."""
+    first.  A job's log lines, in epoch order, are logged when the job
+    finishes.  A failed job raises here, naming its run_id, and cancels
+    the jobs not yet started.  Spawn re-imports the caller's main module,
+    so a script that gets here must guard its entry point with
+    `if __name__ == "__main__":`."""
     seeds = [int(s) for s in seeds]
-    names = [row for _, settings in plan for row, _ in settings]
-    weights = [w for _, settings in plan for _, w in settings]
+    weights = [w for ws in plan.values() for w in ws]
     if not seeds or len(set(seeds)) < len(seeds):
         raise ValueError(f"ablation: seeds {seeds} must be distinct and non-empty")
-    if len(set(names)) < len(names):
-        raise ValueError(f"ablation: rows {names} repeat a w of the grid")
     if not all(np.isfinite(w) and w >= 0.0 for w in weights):
         raise ValueError(f"ablation: bad weight in {weights}; each w must be "
                          f"finite and >= 0")
@@ -366,62 +357,37 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan, log) -> dict:
     # imports this one, and only the ablation uses them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
-    jobs = [(base.with_seed(seed).with_variant(variant), settings)
-            for seed in seeds for variant, settings in plan]
+    jobs = [(k, base.with_seed(seed).with_variant(variant), ws)
+            for k, seed in enumerate(seeds) for variant, ws in plan.items()]
     # longest first (reconstruction, then guidance), so no long job starts last
-    longest_first = sorted(range(len(jobs)), key=lambda i: (not jobs[i][0].reconstructs,
-                                                            not jobs[i][0].guided))
-    results: list = [None] * len(jobs)
+    jobs.sort(key=lambda job: (not job[1].reconstructs, not job[1].guided))
+    rows: dict = {}
     pool = ProcessPoolExecutor(min(len(jobs), _usable_cpus()),
                                mp_context=multiprocessing.get_context("spawn"))
     try:
-        futures = {pool.submit(_plan_job, jobs[i][0], corpus, jobs[i][1]): i
-                   for i in longest_first}
-        logged = 0
+        futures = {pool.submit(_plan_job, cfg, corpus, ws): (k, cfg) for k, cfg, ws in jobs}
         for future in as_completed(futures):
-            i = futures[future]
+            k, cfg = futures[future]
             try:
-                results[i] = future.result()
+                scores, lines = future.result()
             except Exception as e:
-                raise RuntimeError(f"ablation job {jobs[i][0].run_id} failed: "
+                raise RuntimeError(f"ablation job {cfg.run_id} failed: "
                                    f"{type(e).__name__}: {e}") from e
-            while logged < len(jobs) and results[logged] is not None:
-                if log is not None:
-                    for line in results[logged][1]:
-                        log(line)
-                logged += 1
+            for w, row in scores.items():
+                rows.setdefault((cfg.variant, w), [None] * len(seeds))[k] = row
+            if log is not None:
+                for line in lines:
+                    log(line)
     finally:
         pool.shutdown(cancel_futures=True)
-    rows = {row: [] for row in names}
-    for job_rows, _ in results:
-        for row, metrics in job_rows:
-            rows[row].append(metrics)
     return rows
 
 
-def _sweep_settings(w_grid) -> list[tuple]:
-    return [(float(g), float(g)) for g in w_grid]
-
-
-def _sweep_entries(w_grid, rows: dict) -> list[dict]:
-    return [{"w": g, **_aggregate(rows[float(g)]), "per_seed": rows[float(g)]}
-            for g in w_grid]
-
-
-def _ablation_plan(w: float, w_grid) -> tuple:
-    return (("Baseline", [("Baseline", 0.0)]),
-            ("A", [("A", 0.0), ("B", w)]),
-            ("C", [("C", 0.0), ("Full", w), *_sweep_settings(w_grid)]))
-
-
-def _ablation_report(seeds, w_grid, rows: dict) -> dict:
-    return {
-        "seeds": [int(s) for s in seeds],
-        "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(w_grid)),
-        "variants": [{"variant": v, **_aggregate(rows[v]), "per_seed": rows[v]}
-                     for v in VARIANT_ORDER],
-        "sweep": _sweep_entries(w_grid, rows),
-    }
+def _grid(w_grid) -> tuple:
+    """The sweep's weights, refused before any training if one repeats."""
+    if len(set(w_grid)) < len(w_grid):
+        raise ValueError(f"ablation: w grid {list(w_grid)} repeats a w")
+    return tuple(w_grid)
 
 
 def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
@@ -430,40 +396,50 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
 
     Per seed, three trainings: Baseline, A (guidance + fusion), and C
     (guidance + fusion + reconstruction).  B reranks A's model through
-    the bank; Full reranks C's.  The sweep re-scores C's model across
-    w_grid.  Scores are text-to-image on the test split.  Each model is
-    encoded once, by train()'s final eval; the plain rows reuse that
-    eval's score and each distinct reranking weight is scored once from
-    its features.
+    the bank at the trained weight w, and Full reranks C's: B is (A, w)
+    and Full (C, w) of _run_plan's rows.  The sweep re-scores C's model
+    across w_grid, (C, g) for each g.  Scores are text-to-image on the
+    test split.  Each model is encoded once, by train()'s final eval,
+    and each distinct weight is scored once from its features.
 
     The trainings run on up to one spawned worker process per usable
-    CPU, each on one BLAS thread, and log arrives one finished training
-    at a time (see _run_plan).  Spawn re-imports the main module, so a
+    CPU, each on one BLAS thread, and each training's log arrives when it
+    finishes (see _run_plan).  Spawn re-imports the main module, so a
     script that calls this must guard its entry point with
     `if __name__ == "__main__":`.
     """
-    rows = _run_plan(base, seeds, corpus, _ablation_plan(base.loss.refine_weight, w_grid), log)
-    return _ablation_report(seeds, w_grid, rows)
+    w = base.loss.refine_weight
+    rows = _run_plan(base, seeds, corpus,
+                     {"Baseline": (), "A": (w,), "C": (w, *_grid(w_grid))}, log)
+    source = {"B": ("A", w), "Full": ("C", w)}
+    return {
+        "seeds": [int(s) for s in seeds],
+        "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(w_grid)),
+        "variants": [{"variant": v, **_entry(rows[source.get(v, (v, 0.0))])}
+                     for v in VARIANT_ORDER],
+        "sweep": [{"w": g, **_entry(rows["C", g])} for g in w_grid],
+    }
 
 
 def write_ablation_report(report: dict, out_dir: str, name: str = "ablation") -> tuple[str, str]:
+    """<name>.json and <name>.csv, each through atomic_write, so a write
+    that fails leaves the previous file in place."""
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{name}.json")
     csv_path = os.path.join(out_dir, f"{name}.csv")
-    with open(json_path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row", "setting"] + [f"{k} mean" for k in REPORT_KEYS]
-                        + [f"{k} std" for k in REPORT_KEYS])
-        for entry in report["variants"]:
-            writer.writerow(["variant", entry["variant"]]
-                            + [entry["mean"][k] for k in REPORT_KEYS]
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["row", "setting"] + [f"{k} mean" for k in REPORT_KEYS]
+                    + [f"{k} std" for k in REPORT_KEYS])
+    for row, key, entries in (("variant", "variant", report["variants"]),
+                              ("sweep", "w", report["sweep"])):
+        for entry in entries:
+            writer.writerow([row, entry[key]] + [entry["mean"][k] for k in REPORT_KEYS]
                             + [entry["std"][k] for k in REPORT_KEYS])
-        for entry in report["sweep"]:
-            writer.writerow(["sweep", entry["w"]]
-                            + [entry["mean"][k] for k in REPORT_KEYS]
-                            + [entry["std"][k] for k in REPORT_KEYS])
+    for path, text in ((json_path, json.dumps(report, indent=2, sort_keys=True)),
+                       (csv_path, table.getvalue())):
+        with atomic_write(path) as f:
+            f.write(text.encode())
     return json_path, csv_path
 
 
@@ -486,8 +462,9 @@ def format_ablation_table(report: dict) -> str:
 def sweep_w(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
             w_grid=W_SWEEP_GRID, log=None) -> dict:
     """Train the full model per seed, then re-score it across the w grid
-    from the features of train()'s final eval.  The trainings run on
-    spawned worker processes as ablate's do, under the same
-    `if __name__ == "__main__":` guard."""
-    rows = _run_plan(base, seeds, corpus, (("C", _sweep_settings(w_grid)),), log)
-    return {"seeds": [int(s) for s in seeds], "sweep": _sweep_entries(w_grid, rows)}
+    from the features of train()'s final eval: entry g is _run_plan's
+    (C, g) rows.  The trainings run on spawned worker processes as
+    ablate's do, under the same `if __name__ == "__main__":` guard."""
+    rows = _run_plan(base, seeds, corpus, {"C": _grid(w_grid)}, log)
+    return {"seeds": [int(s) for s in seeds],
+            "sweep": [{"w": g, **_entry(rows["C", g])} for g in w_grid]}

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -172,6 +173,14 @@ def test_eval_refuses_a_checkpoint_with_ablation_booleans(tmp_path):
         main(["eval", "--checkpoint", ckpt])
 
 
+def test_eval_w_needs_refine(tmp_path, capsys):
+    # --w is the reranking weight; without --refine it would score plain
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--w", "0.3"])
+    assert exc.value.code == 2
+    assert "--w sets the reranking weight, so it needs --refine" in capsys.readouterr().err
+
+
 def test_ablate_command(tmp_path, capsys):
     code = main(["ablate", "--config", _ini(tmp_path, run_id="abl"),
                  "--seeds", "0", "--quiet"])
@@ -180,6 +189,7 @@ def test_ablate_command(tmp_path, capsys):
     assert "Baseline" in out and "Full" in out
     assert (tmp_path / "runs" / "ablation.json").exists()
     assert (tmp_path / "runs" / "ablation.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -189,6 +199,7 @@ def test_sweep_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("w ")
     assert "0.5" in out
+    assert multiprocessing.active_children() == []
 
 
 def test_gradcheck_command(capsys):
@@ -202,8 +213,10 @@ def test_parser_rejections(tmp_path):
         main(["train", "--config", "a.ini", "--full-scale"])
     with pytest.raises(SystemExit):
         main(["train", "--variant", "Z"])
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="--seeds: expected comma-separated int"):
         main(["ablate", "--config", _ini(tmp_path), "--seeds", "x,y"])
+    with pytest.raises(SystemExit, match="--grid: expected comma-separated float"):
+        main(["sweep-w", "--config", _ini(tmp_path), "--seeds", "0", "--grid", "0.1,x"])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
 

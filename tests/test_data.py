@@ -297,6 +297,17 @@ def test_load_names_the_record_a_cut_file_ends_in(tmp_path):
             load_corpus(str(path))
 
 
+def test_load_names_a_bad_manifest(tmp_path):
+    path = tmp_path / "corpus.bin"
+    save_corpus(generate_corpus(_cfg()), str(path))
+    blob = path.read_bytes()
+    # a manifest that is not JSON, and one with no arrays entry
+    for bad in (blob[:16] + b"x" + blob[17:], blob.replace(b'"arrays"', b'"arrayz"', 1)):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="^corpus file: bad manifest$"):
+            load_corpus(str(path))
+
+
 def test_save_corpus_replaces_the_file_atomically(tmp_path, monkeypatch):
     path = tmp_path / "corpus.bin"
     save_corpus(generate_corpus(_cfg()), str(path))

@@ -164,6 +164,19 @@ def test_read_checkpoint_validation(tmp_path):
             read_checkpoint(str(truncated))
 
 
+def test_read_checkpoint_names_a_bad_manifest(tmp_path):
+    corpus = _corpus()
+    model, _ = _trained_state(corpus)
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(str(path), model.named_parameters(), step=1, meta={})
+    blob = path.read_bytes()
+    # a manifest that is not JSON, and one with no arrays entry
+    for bad in (blob[:16] + b"x" + blob[17:], blob.replace(b'"arrays"', b'"arrayz"', 1)):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="^checkpoint: bad manifest$"):
+            read_checkpoint(str(path))
+
+
 def test_load_checkpoint_validation(tmp_path):
     corpus = _corpus()
     model, _ = _trained_state(corpus)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 from refalign.config import RunConfig, W_SWEEP_GRID
 from refalign.data import CorpusConfig, generate_corpus, sample_batch
@@ -16,9 +17,10 @@ from refalign.encoders import EncoderConfig
 from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint
 from refalign.tensor import Adam, ScheduleConfig
+import refalign.data
 import refalign.train
 from refalign import refinement
-from refalign.train import (METRIC_COLUMNS, ablate, format_ablation_table,
+from refalign.train import (METRIC_COLUMNS, REPORT_KEYS, ablate, format_ablation_table,
                             masked_eval, sweep_w, train, train_step,
                             write_ablation_report)
 
@@ -258,21 +260,37 @@ def test_rerank_at_zero_weight_is_the_plain_score(tmp_path):
         np.testing.assert_array_equal(zero.rankings, plain.rankings)
 
 
-def _in_process_rows(cfg, plan, seed, log) -> dict:
-    """The rows _run_plan's pool assembles for one seed, from _variant_rows
-    run here, one plan entry after another, where the spies can see it."""
+def _in_process_rows(cfg, plan, seeds, log) -> dict:
+    """The rows _run_plan's pool assembles, {(variant, w): per-seed rows},
+    from _plan_job run here, one job after another, where the spies can
+    see it."""
     corpus = generate_corpus(cfg.corpus)
     rows = {}
-    for variant, settings in plan:
-        for row, metrics in refalign.train._variant_rows(
-                cfg.with_seed(seed).with_variant(variant), corpus, settings, log):
-            rows.setdefault(row, []).append(metrics)
+    for seed in seeds:
+        for variant, weights in plan.items():
+            scores, lines = refalign.train._plan_job(
+                cfg.with_seed(seed).with_variant(variant), corpus, weights)
+            for w, metrics in scores.items():
+                rows.setdefault((variant, w), []).append(metrics)
+            for line in lines:
+                log(line)
     return rows
+
+
+def _epochs_by_run(lines) -> dict:
+    """run_id prefix -> the epochs its lines log, in log order; each run's
+    lines must form one contiguous block."""
+    by_run = {}
+    for i, line in enumerate(lines):
+        run, epoch = line.split("]")[0], int(line.split(" epoch ")[1].split("/")[0])
+        assert run not in by_run or lines[i - 1].startswith(run + "]"), lines
+        by_run.setdefault(run, []).append(epoch)
+    return by_run
 
 
 def test_ablation_report_structure(tmp_path, monkeypatch):
     # spawned workers are out of the spies' reach, so the calls are counted
-    # on _variant_rows run in-process, and the pool must then equal that
+    # on _plan_job run in-process, and the pool's rows must then equal its
     encodes, scorings = [], []
     real_encode = refalign.train.encode_split
     real_score = refalign.train.score_split
@@ -281,10 +299,10 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
     monkeypatch.setattr(refalign.train, "score_split",
                         lambda *a: scorings.append(a[4:]) or real_score(*a))
     cfg = _cfg(tmp_path, run_id="abl")
+    w = cfg.loss.refine_weight
     serial_lines = []
-    serial = refalign.train._ablation_report((0,), W_SWEEP_GRID, _in_process_rows(
-        cfg, refalign.train._ablation_plan(cfg.loss.refine_weight, W_SWEEP_GRID), 0,
-        serial_lines.append))
+    rows = _in_process_rows(cfg, {"Baseline": (), "A": (w,), "C": (w, *W_SWEEP_GRID)},
+                            (0,), serial_lines.append)
     # Baseline, A and C each encoded once, by train()'s final eval
     assert encodes == ["test"] * 3
     # their final evals score t2i and i2t plainly (6); the plain rows reuse
@@ -295,26 +313,25 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
 
     lines = []
     report = ablate(cfg, seeds=(0,), log=lines.append)
-    assert report == serial
-    assert lines == serial_lines
-    assert [line.split("]")[0] for line in lines] == \
-        [f"[abl-s0-{v}" for v in ("Baseline", "A", "C") for _ in range(cfg.epochs)]
-    for name, rep in (("serial", serial), ("pooled", report)):
-        write_ablation_report(rep, str(tmp_path / name))
-    for file in ("ablation.json", "ablation.csv"):
-        assert (tmp_path / "pooled" / file).read_bytes() == \
-            (tmp_path / "serial" / file).read_bytes()
-    assert format_ablation_table(report) == format_ablation_table(serial)
+    # each job's lines arrive together, in epoch order, when it finishes
+    assert sorted(lines) == sorted(serial_lines)
+    assert _epochs_by_run(lines) == \
+        {f"[abl-s0-{v}": list(range(1, cfg.epochs + 1)) for v in ("Baseline", "A", "C")}
+    # B reranks A's model and Full C's at the trained w; sweep g is C at g
+    source = {"Baseline": ("Baseline", 0.0), "A": ("A", 0.0), "B": ("A", w),
+              "C": ("C", 0.0), "Full": ("C", w)}
+    assert [v["variant"] for v in report["variants"]] == list(source)
+    assert [v["per_seed"] for v in report["variants"]] == [rows[k] for k in source.values()]
+    assert [s["w"] for s in report["sweep"]] == list(W_SWEEP_GRID)
+    assert [s["per_seed"] for s in report["sweep"]] == [rows["C", g] for g in W_SWEEP_GRID]
 
     assert report["seeds"] == [0]
     assert report["runs_aggregated"] == 1 * (5 + len(W_SWEEP_GRID))
-    assert [v["variant"] for v in report["variants"]] == \
-        ["Baseline", "A", "B", "C", "Full"]
-    assert [s["w"] for s in report["sweep"]] == list(W_SWEEP_GRID)
     for entry in report["variants"] + report["sweep"]:
         assert set(entry["mean"]) == {"R@1", "R@5", "R@10", "mAP", "AP@N"}
         assert len(entry["per_seed"]) == 1
-        assert all(s == 0.0 for s in entry["std"].values())  # single seed
+        assert entry["mean"] == entry["per_seed"][0]           # single seed
+        assert all(s == 0.0 for s in entry["std"].values())
 
     # at w=0 the sweep re-scores C's model without moving anything
     c = next(v for v in report["variants"] if v["variant"] == "C")
@@ -322,31 +339,53 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
     assert w0["per_seed"][0] == c["per_seed"][0]
     # Full reranks C's model at the trained weight, which the grid holds
     full = next(v for v in report["variants"] if v["variant"] == "Full")
-    w5 = next(s for s in report["sweep"] if s["w"] == cfg.loss.refine_weight)
+    w5 = next(s for s in report["sweep"] if s["w"] == w)
     assert w5["per_seed"][0] == full["per_seed"][0]
 
     json_path, csv_path = write_ablation_report(report, str(tmp_path / "rep"))
-    assert json.load(open(json_path))["seeds"] == [0]
+    assert json.load(open(json_path)) == json.loads(json.dumps(report))
     with open(csv_path, newline="") as f:
-        lines = list(csv.reader(f))
-    assert len(lines) == 1 + 5 + len(W_SWEEP_GRID)
+        table_rows = list(csv.reader(f))
+    assert len(table_rows) == 1 + 5 + len(W_SWEEP_GRID)
 
     table = format_ablation_table(report)
     assert "Baseline" in table and "Full" in table and "0.9" in table
 
     # sweep_w trains and encodes C once more and scores the same grid:
     # its final eval twice, then the five nonzero weights
-    sweep_plan = (("C", refalign.train._sweep_settings(W_SWEEP_GRID)),)
-    sweep_rows = _in_process_rows(cfg, sweep_plan, 0, None)
-    assert len(encodes) == 4
+    sweep_plan = {"C": W_SWEEP_GRID}
+    sweep_rows = _in_process_rows(cfg, sweep_plan, (0,), lambda line: None)
+    assert len(encodes) == 3 + 1
     assert len(scorings) == 12 + 7
-    assert refalign.train._sweep_entries(W_SWEEP_GRID, sweep_rows) == report["sweep"]
+    assert [sweep_rows["C", g] for g in W_SWEEP_GRID] == [rows["C", g] for g in W_SWEEP_GRID]
     # over two seeds the pool keeps seed order, whichever job ends first
-    for row, metrics in _in_process_rows(cfg, sweep_plan, 1, None).items():
-        sweep_rows[row] += metrics
-    assert sweep_w(cfg, seeds=(0, 1))["sweep"] == \
-        refalign.train._sweep_entries(W_SWEEP_GRID, sweep_rows)
+    for key, metrics in _in_process_rows(cfg, sweep_plan, (1,), lambda line: None).items():
+        sweep_rows[key] += metrics
+    lines = []
+    sweep = sweep_w(cfg, seeds=(0, 1), log=lines.append)
+    assert [s["per_seed"] for s in sweep["sweep"]] == [sweep_rows["C", g] for g in W_SWEEP_GRID]
+    assert _epochs_by_run(lines) == {f"[abl-s{s}-C": list(range(1, cfg.epochs + 1))
+                                     for s in (0, 1)}
     assert multiprocessing.active_children() == []
+
+
+def test_ablation_report_is_replaced_atomically(tmp_path, monkeypatch):
+    entry = {"mean": dict.fromkeys(REPORT_KEYS, 1.0), "std": dict.fromkeys(REPORT_KEYS, 0.0)}
+    report = {"seeds": [0], "variants": [{"variant": "C", **entry}],
+              "sweep": [{"w": 0.5, **entry}]}
+    out = tmp_path / "rep"
+    write_ablation_report(report, str(out))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["ablation.csv", "ablation.json"]
+    assert before["ablation.csv"].count(b"\r\n") == 3
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(refalign.data.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_ablation_report({**report, "seeds": [1]}, str(out))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_ablation_job_failure_raises_with_its_run_id(tmp_path):
@@ -367,24 +406,33 @@ def test_plan_job_runs_on_one_blas_thread(tmp_path, monkeypatch):
         pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
     get_threads, set_threads = threads
     seen = []
+    row = {"direction": "t2i", "refined": False, **dict.fromkeys(REPORT_KEYS, 1.0)}
 
-    def spy(cfg, corpus, settings, log):
-        seen.append(get_threads())
+    def spy_train(cfg, corpus, log):
+        seen.append(("train", get_threads()))
         log(f"[{cfg.run_id}] spied")
-        if settings == "raise":
+        if cfg.seed == 1:
             raise ValueError("spy")
-        return [("row", {})]
+        return SimpleNamespace(final_metrics=[row], features=(),
+                               model=SimpleNamespace(bank=SimpleNamespace(matrix=lambda: None)))
 
-    monkeypatch.setattr(refalign.train, "_variant_rows", spy)
+    def spy_score(*args):
+        seen.append(("score", get_threads()))
+        return SimpleNamespace(metrics=dict.fromkeys(REPORT_KEYS, 2.0))
+
+    monkeypatch.setattr(refalign.train, "train", spy_train)
+    monkeypatch.setattr(refalign.train, "score_split", spy_score)
     before = get_threads()
     set_threads(2)          # so that one thread is a change even on one CPU
     try:
         cfg = _cfg(tmp_path, run_id="one")
-        assert refalign.train._plan_job(cfg, None, []) == ([("row", {})], ["[one] spied"])
-        assert seen == [1] and get_threads() == 2
+        assert refalign.train._plan_job(cfg, None, (0.0, 0.5)) == (
+            {0.0: dict.fromkeys(REPORT_KEYS, 1.0), 0.5: dict.fromkeys(REPORT_KEYS, 2.0)},
+            ["[one] spied"])
+        assert seen == [("train", 1), ("score", 1)] and get_threads() == 2
         with pytest.raises(ValueError, match="spy"):
-            refalign.train._plan_job(cfg, None, "raise")
-        assert seen == [1, 1] and get_threads() == 2
+            refalign.train._plan_job(cfg.with_seed(1), None, ())
+        assert seen[2:] == [("train", 1)] and get_threads() == 2
     finally:
         set_threads(before)
 
