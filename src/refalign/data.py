@@ -327,8 +327,9 @@ def load_arrays(path: str, magic: bytes, version: int,
     """-> (header, name -> float64 array) of a save_arrays file.  Each
     array is read straight into its own buffer, never the whole file; a
     cut file fails naming the header, the manifest or the array it ends
-    in, and a manifest that is not a JSON object with `arrays` fails as a
-    bad manifest."""
+    in.  A manifest that is not a JSON object with an `arrays` list, or
+    an entry that is not an object with a string name, an integer offset
+    and an integer-list shape, fails as a bad manifest."""
     with open(path, "rb") as f:
         head = f.read(16)
         if len(head) < 16:
@@ -345,10 +346,15 @@ def load_arrays(path: str, magic: bytes, version: int,
             header = json.loads(raw)
         except ValueError as e:
             raise ValueError(f"{what}: bad manifest") from e
-        if not isinstance(header, dict) or "arrays" not in header:
+        if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
             raise ValueError(f"{what}: bad manifest")
         arrays: dict[str, np.ndarray] = {}
         for entry in header.pop("arrays"):
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and isinstance(entry.get("offset"), int)
+                    and isinstance(entry.get("shape"), list)
+                    and all(isinstance(n, int) for n in entry["shape"])):
+                raise ValueError(f"{what}: bad manifest")
             shape = tuple(entry["shape"])
             count = math.prod(shape)
             f.seek(16 + mlen + entry["offset"])

@@ -94,17 +94,23 @@ def read_checkpoint(path: str) -> tuple[int, dict, dict[str, np.ndarray]]:
 
 def load_checkpoint(path: str, params: dict[str, Tensor],
                     optimizer: Adam | None = None) -> tuple[int, dict]:
-    """Restore parameters (and optimizer state) in place; every shape is
-    validated against the live model."""
+    """Restore parameters (and optimizer state) in place.  Every name and
+    shape is checked before anything is written, so a checkpoint with a
+    missing parameter, a misshapen one, or an array that is neither a
+    parameter nor `adam.*` state is refused and leaves the model as it
+    was."""
     step, meta, arrays = read_checkpoint(path)
+    for name in arrays:
+        if name not in params and not name.startswith("adam."):
+            raise KeyError(f"checkpoint: array {name!r} is not a model parameter")
     for name, p in params.items():
         if name not in arrays:
             raise KeyError(f"checkpoint: parameter {name!r} missing")
-        arr = arrays[name]
-        if arr.shape != p.data.shape:
-            raise ShapeError(f"checkpoint: {name!r} has shape {arr.shape}, "
+        if arrays[name].shape != p.data.shape:
+            raise ShapeError(f"checkpoint: {name!r} has shape {arrays[name].shape}, "
                              f"model expects {p.data.shape}")
-        p.data[...] = arr
     if optimizer is not None:
         optimizer.load_state_arrays(arrays)
+    for name, p in params.items():
+        p.data[...] = arrays[name]
     return step, meta

@@ -135,13 +135,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, wrt=None) -> dict[Tensor, Array]:
-    """Gradients of a scalar loss.
+def backward(loss: Tensor, wrt) -> dict[Tensor, Array]:
+    """Gradients of a scalar loss with respect to each tensor in wrt.
 
-    Returns {tensor: gradient array}.  With wrt given, the map holds
-    exactly those tensors; any of them the graph never reached gets an
-    exact zero array (this is what makes stop-gradient contracts
-    checkable bitwise).  Without wrt, all reachable leaves are returned.
+    Returns {tensor: gradient array} holding exactly those tensors; any
+    of them the graph never reached gets an exact zero array (this is
+    what makes stop-gradient contracts checkable bitwise).
     """
     if loss.data.shape != ():
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -149,8 +148,8 @@ def backward(loss: Tensor, wrt=None) -> dict[Tensor, Array]:
     grads: dict[Tensor, Array] = {}
     if order:
         grads[loss] = np.ones((), dtype=np.float64)
-    wanted = None if wrt is None else list(wrt)
-    keep = None if wanted is None else {id(t) for t in wanted}
+    wanted = list(wrt)
+    keep = {id(t) for t in wanted}
     for node in reversed(order):
         g = grads.get(node)
         if g is None:
@@ -162,10 +161,8 @@ def backward(loss: Tensor, wrt=None) -> dict[Tensor, Array]:
             prev = grads.get(parent)
             # out-of-place accumulate: vjps are allowed to return views
             grads[parent] = contrib if prev is None else prev + contrib
-        if node._parents and (keep is None or id(node) not in keep):
+        if node._parents and id(node) not in keep:
             del grads[node]
-    if wanted is None:
-        return {t: g for t, g in grads.items() if not t._parents}
     out: dict[Tensor, Array] = {}
     for t in wanted:
         g = grads.get(t)
@@ -482,14 +479,15 @@ class Adam(object):
         return out
 
     def load_state_arrays(self, arrays) -> None:
-        self.t = int(arrays["adam.t"])
-        for i, p in enumerate(self.params):
-            m = arrays[f"adam.m.{i}"]
-            v = arrays[f"adam.v.{i}"]
+        """Every moment's shape is checked before any state is replaced."""
+        ms = [arrays[f"adam.m.{i}"] for i in range(len(self.params))]
+        vs = [arrays[f"adam.v.{i}"] for i in range(len(self.params))]
+        for i, (p, m, v) in enumerate(zip(self.params, ms, vs)):
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ShapeError(f"Adam: state {i} shape mismatch with parameter {p.data.shape}")
-            self._m[i] = m.astype(np.float64).copy()
-            self._v[i] = v.astype(np.float64).copy()
+        self.t = int(arrays["adam.t"])
+        self._m = [m.astype(np.float64) for m in ms]
+        self._v = [v.astype(np.float64) for v in vs]
 
 
 class ScheduleConfig:

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,41 +52,20 @@ def _report_columns(metrics: dict[str, float]) -> dict[str, float]:
     return {k: metrics[ap_key if k == "AP@N" else k] for k in REPORT_KEYS}
 
 
-def _append_metrics(row: dict, jsonl_path: str, csv_path: str) -> None:
-    with open(jsonl_path, "a") as f:
-        f.write(json.dumps(row, sort_keys=True) + "\n")
-    fresh = not os.path.exists(csv_path)
-    with open(csv_path, "a", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=METRIC_COLUMNS)
-        if fresh:
-            writer.writeheader()
-        writer.writerow(row)
+def _csv_text(header, rows) -> str:
+    """A header row and rows as CSV text, in csv.writer's default dialect."""
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return table.getvalue()
 
 
-def _drop_metrics_after(step: int, jsonl_path: str, csv_path: str) -> None:
-    """Cut both metric files back to the rows at or before a resume's step,
-    dropping those of an eval whose checkpoint was never written; rows go
-    in step order, so they end each file.  A checkpoint follows its eval's
-    rows, so a torn last JSONL row is one of those and goes too; a torn
-    row anywhere else is an error."""
-    lines = []
-    with suppress(FileNotFoundError), open(jsonl_path, "rb") as f:
-        lines = f.readlines()
-    steps = []
-    for i, line in enumerate(lines, 1):
-        try:
-            steps.append(json.loads(line)["step"])
-        except ValueError as e:
-            if i < len(lines):
-                raise ValueError(f"resume: {jsonl_path}:{i} is not a metrics row") from e
-    keep = sum(s <= step for s in steps)
-    for path, n_lines in ((jsonl_path, keep), (csv_path, keep + 1)):   # + CSV header
-        with suppress(FileNotFoundError):
-            with open(path, "rb") as f:
-                lines = f.readlines()
-            if len(lines) > n_lines:
-                with atomic_write(path) as f:
-                    f.writelines(lines[:n_lines])
+def _write_texts(texts: dict[str, str]) -> None:
+    """Each {path: text} through atomic_write, one file after the other."""
+    for path, text in texts.items():
+        with atomic_write(path) as f:
+            f.write(text.encode())
 
 
 def _reconstruct_masked(model: RetrievalModel, token_seqs, labels,
@@ -138,8 +116,7 @@ def train_step(model: RetrievalModel, optimizer: Adam, batch: PairBatch,
     return total.item()
 
 
-def _evaluate(model: RetrievalModel, features, cfg: RunConfig,
-              step: int, jsonl_path: str, csv_path: str) -> list[dict]:
+def _evaluate(model: RetrievalModel, features, cfg: RunConfig, step: int) -> list[dict]:
     rows = []
     refine_states = (False, True) if cfg.reranks else (False,)
     for refined in refine_states:
@@ -149,7 +126,6 @@ def _evaluate(model: RetrievalModel, features, cfg: RunConfig,
             row = {"run_id": cfg.run_id, "seed": cfg.seed, "step": step,
                    **_report_columns(result.metrics),
                    "direction": direction, "refined": refined}
-            _append_metrics(row, jsonl_path, csv_path)
             rows.append(row)
     return rows
 
@@ -184,11 +160,13 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     """Run the configured protocol end to end.
 
     The checkpoint is written after the last epoch and after every
-    earlier eval epoch.  resume_from restarts mid-schedule from such an
-    earlier checkpoint; both runs must share the config, run_id and
-    out_dir aside, and a finished run's checkpoint is refused.  It appends
-    to the metric files after dropping their rows past the checkpoint's
-    step.
+    earlier eval epoch, and its meta holds every metric row of the run so
+    far.  After each eval both metric files are rewritten whole from those
+    rows, before the checkpoint.  resume_from restarts mid-schedule from
+    such an earlier checkpoint; both runs must share the config, run_id
+    and out_dir aside, and a finished run's checkpoint is refused.  A
+    resume starts from the checkpoint's rows and never reads the metric
+    files.
     """
     if corpus is None:
         corpus = generate_corpus(cfg.corpus)
@@ -204,8 +182,8 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     jsonl_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.jsonl")
     csv_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.csv")
 
-    start_epoch = 0
     step = 0
+    rows: list[dict] = []
     if resume_from is not None:
         step, meta = load_checkpoint(resume_from, params, optimizer)
         if step % cfg.steps_per_epoch != 0:
@@ -217,20 +195,16 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         if step == cfg.epochs * cfg.steps_per_epoch:
             raise ValueError(f"resume: {resume_from} is at step {step}, the end of "
                              f"the schedule; the run is finished")
-        start_epoch = step // cfg.steps_per_epoch
-        _drop_metrics_after(step, jsonl_path, csv_path)
-    else:
-        # a fresh run starts its metrics files empty; only a resume appends
-        for path in (jsonl_path, csv_path):
-            with suppress(FileNotFoundError):
-                os.remove(path)
+        if "metrics" not in meta:
+            raise ValueError(f"resume: checkpoint {resume_from} records no metrics")
+        rows = meta["metrics"]
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     meta = {"run_seed": cfg.seed, "run_id": cfg.run_id,
-            "config": config_as_dict(cfg)}
+            "config": config_as_dict(cfg), "metrics": rows}
     final_rows: list[dict] = []
     features = None
-    for epoch in range(start_epoch + 1, cfg.epochs + 1):
+    for epoch in range(step // cfg.steps_per_epoch + 1, cfg.epochs + 1):
         epoch_loss = 0.0
         for _ in range(cfg.steps_per_epoch):
             step += 1
@@ -244,10 +218,13 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         due = cfg.eval_every and epoch % cfg.eval_every == 0
         if due or epoch == cfg.epochs:
             features = encode_split(model, corpus, "test")
-            final_rows = _evaluate(model, features, cfg, step, jsonl_path, csv_path)
+            final_rows = _evaluate(model, features, cfg, step)
+            rows += final_rows
+            _write_texts({
+                jsonl_path: "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
+                csv_path: _csv_text(METRIC_COLUMNS,
+                                    [[r[k] for k in METRIC_COLUMNS] for r in rows])})
             if epoch < cfg.epochs:
-                # an interrupted run resumes from its last eval; rows of a
-                # later eval whose checkpoint was never written are dropped
                 save_checkpoint(ckpt_path, params, step, meta, optimizer)
         if log is not None:
             log(f"[{cfg.run_id}] epoch {epoch}/{cfg.epochs} "
@@ -427,19 +404,15 @@ def write_ablation_report(report: dict, out_dir: str, name: str = "ablation") ->
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{name}.json")
     csv_path = os.path.join(out_dir, f"{name}.csv")
-    table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(["row", "setting"] + [f"{k} mean" for k in REPORT_KEYS]
-                    + [f"{k} std" for k in REPORT_KEYS])
-    for row, key, entries in (("variant", "variant", report["variants"]),
-                              ("sweep", "w", report["sweep"])):
-        for entry in entries:
-            writer.writerow([row, entry[key]] + [entry["mean"][k] for k in REPORT_KEYS]
-                            + [entry["std"][k] for k in REPORT_KEYS])
-    for path, text in ((json_path, json.dumps(report, indent=2, sort_keys=True)),
-                       (csv_path, table.getvalue())):
-        with atomic_write(path) as f:
-            f.write(text.encode())
+    header = (["row", "setting"] + [f"{k} mean" for k in REPORT_KEYS]
+              + [f"{k} std" for k in REPORT_KEYS])
+    table = [[row, entry[key]] + [entry["mean"][k] for k in REPORT_KEYS]
+             + [entry["std"][k] for k in REPORT_KEYS]
+             for row, key, entries in (("variant", "variant", report["variants"]),
+                                       ("sweep", "w", report["sweep"]))
+             for entry in entries]
+    _write_texts({json_path: json.dumps(report, indent=2, sort_keys=True),
+                  csv_path: _csv_text(header, table)})
     return json_path, csv_path
 
 

@@ -301,8 +301,12 @@ def test_load_names_a_bad_manifest(tmp_path):
     path = tmp_path / "corpus.bin"
     save_corpus(generate_corpus(_cfg()), str(path))
     blob = path.read_bytes()
-    # a manifest that is not JSON, and one with no arrays entry
-    for bad in (blob[:16] + b"x" + blob[17:], blob.replace(b'"arrays"', b'"arrayz"', 1)):
+    # a manifest that is not JSON, one with no arrays entry, and arrays
+    # entries with no shape, offset or name
+    for bad in (blob[:16] + b"x" + blob[17:], blob.replace(b'"arrays"', b'"arrayz"', 1),
+                blob.replace(b'"shape"', b'"shapx"', 1),
+                blob.replace(b'"offset"', b'"offsex"', 1),
+                blob.replace(b'"name"', b'"namx"', 1)):
         path.write_bytes(bad)
         with pytest.raises(ValueError, match="^corpus file: bad manifest$"):
             load_corpus(str(path))

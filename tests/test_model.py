@@ -170,8 +170,12 @@ def test_read_checkpoint_names_a_bad_manifest(tmp_path):
     path = tmp_path / "state.ckpt"
     save_checkpoint(str(path), model.named_parameters(), step=1, meta={})
     blob = path.read_bytes()
-    # a manifest that is not JSON, and one with no arrays entry
-    for bad in (blob[:16] + b"x" + blob[17:], blob.replace(b'"arrays"', b'"arrayz"', 1)):
+    # a manifest that is not JSON, one with no arrays entry, and arrays
+    # entries with no shape, offset or name
+    for bad in (blob[:16] + b"x" + blob[17:], blob.replace(b'"arrays"', b'"arrayz"', 1),
+                blob.replace(b'"shape"', b'"shapx"', 1),
+                blob.replace(b'"offset"', b'"offsex"', 1),
+                blob.replace(b'"name"', b'"namx"', 1)):
         path.write_bytes(bad)
         with pytest.raises(ValueError, match="^checkpoint: bad manifest$"):
             read_checkpoint(str(path))
@@ -191,6 +195,23 @@ def test_load_checkpoint_validation(tmp_path):
     renamed["missing.extra"] = T.parameter(np.zeros(2), "missing.extra")
     with pytest.raises(KeyError):
         load_checkpoint(path, renamed)
+
+
+def test_load_checkpoint_refuses_a_foreign_array_before_writing(tmp_path):
+    corpus = _corpus()
+    deeper = model_for_corpus(_enc(corpus, n_blocks=2), corpus, seed=0)
+    path = str(tmp_path / "deeper.ckpt")
+    save_checkpoint(path, deeper.named_parameters(), step=1, meta={},
+                    optimizer=T.Adam(deeper.parameters()))
+    model = model_for_corpus(_enc(corpus, n_blocks=1), corpus, seed=3)
+    opt = T.Adam(model.parameters())
+    before = {name: p.data.tobytes() for name, p in model.named_parameters().items()}
+    for optimizer in (None, opt):
+        with pytest.raises(KeyError, match=r"'text\.block1\.ln1\.g' is not a model parameter"):
+            load_checkpoint(path, model.named_parameters(), optimizer)
+        assert {name: p.data.tobytes()
+                for name, p in model.named_parameters().items()} == before
+    assert opt.t == 0 and all(not a.any() for a in opt.state_arrays().values())
 
 
 def test_duplicate_parameter_name_rejected():

@@ -112,14 +112,14 @@ def test_item_and_graph_errors():
     with pytest.raises(T.GraphError):
         x.item()
     with pytest.raises(T.GraphError):
-        T.backward(T.scale(x, 2.0))
+        T.backward(T.scale(x, 2.0), wrt=[x])
 
 
 # ---------------------------------------------------------------- gradients
 
 def test_backward_square():
     x = T.parameter(np.asarray(3.0))
-    grads = T.backward(T.mul(x, x))
+    grads = T.backward(T.mul(x, x), wrt=[x])
     np.testing.assert_array_equal(grads[x], 6.0)
 
 
@@ -263,6 +263,13 @@ def test_adam_state_round_trip():
     opt.step({p: g}, lr=0.01)
     restored.step({q: g}, lr=0.01)
     np.testing.assert_array_equal(p.data, q.data)
+
+    # a misshapen later moment is refused before any state is replaced
+    other = T.Adam([T.parameter(np.zeros((2, 3))), T.parameter(np.zeros(4))])
+    state = {**opt.state_arrays(), "adam.m.1": np.ones(5), "adam.v.1": np.ones(5)}
+    with pytest.raises(T.ShapeError, match="state 1"):
+        other.load_state_arrays(state)
+    assert other.t == 0 and not any(a.any() for a in other.state_arrays().values())
 
 
 # ----------------------------------------------------------------- schedule

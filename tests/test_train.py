@@ -15,7 +15,7 @@ from refalign.config import RunConfig, W_SWEEP_GRID
 from refalign.data import CorpusConfig, generate_corpus, sample_batch
 from refalign.encoders import EncoderConfig
 from refalign.evaluation import score_split
-from refalign.model import model_for_corpus, read_checkpoint
+from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
 from refalign.tensor import Adam, ScheduleConfig
 import refalign.data
 import refalign.train
@@ -51,6 +51,8 @@ def test_train_writes_metrics_and_checkpoint(tmp_path):
 
     rows = [json.loads(line) for line in open(res.metrics_jsonl)]
     assert [set(r) for r in rows] == [set(METRIC_COLUMNS)] * 4
+    # the checkpoint carries the run's rows, which a resume starts from
+    assert meta["metrics"] == rows
     # refinement doubles the (t2i, i2t) row pair
     assert sorted((r["direction"], r["refined"]) for r in rows) == \
         [("i2t", False), ("i2t", True), ("t2i", False), ("t2i", True)]
@@ -125,7 +127,7 @@ def test_stop_and_resume_matches_straight_run(tmp_path, monkeypatch):
     _, _, got = read_checkpoint(resumed.checkpoint_path)
     for name in want:
         np.testing.assert_array_equal(want[name], got[name])
-    # the resume appends to the interrupted part's rows (epoch 1)
+    # the resume starts from the interrupted part's rows (epoch 1)
     rows = [json.loads(line) for line in open(resumed.metrics_jsonl)]
     assert [r["step"] for r in rows] == [3, 3, 6, 6, 9, 9]
     assert [dict(json.loads(line), run_id=resumed.config.run_id)
@@ -151,8 +153,6 @@ def test_resume_validation(tmp_path, monkeypatch):
                   resume_from=part)
     assert moved.steps == 3 * 3
 
-    from refalign.model import save_checkpoint
-    from refalign.tensor import Adam
     corpus = generate_corpus(cfg.corpus)
     model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
     odd = str(tmp_path / "odd.ckpt")
@@ -187,17 +187,44 @@ def test_resume_drops_a_torn_last_row(tmp_path, monkeypatch):
     assert _run_files(straight) == want
 
 
-def test_resume_names_a_torn_row_before_the_last(tmp_path, monkeypatch):
+def test_resume_ignores_a_torn_row_before_the_last(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, run_id="mid", eval_every=1).with_variant("C")
+    straight = train(cfg)
+    want = _run_files(straight)
     part = _interrupt(cfg, monkeypatch, step=7)
-    jsonl = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.jsonl")
-    lines = open(jsonl, "rb").readlines()
+    lines = open(straight.metrics_jsonl, "rb").readlines()
     lines[1] = lines[1][:40] + b"\n"
-    with open(jsonl, "wb") as f:
+    with open(straight.metrics_jsonl, "wb") as f:
         f.writelines(lines)
-    with pytest.raises(ValueError, match=r"mid-C\.metrics\.jsonl:2 is not a metrics row"):
+    # the resume never reads the metric files; it rewrites them from the
+    # checkpoint's rows
+    train(cfg, resume_from=part)
+    assert _run_files(straight) == want
+
+
+def test_resume_rewrites_deleted_metric_files(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, run_id="lost", eval_every=1).with_variant("C")
+    straight = train(cfg)
+    want = _run_files(straight)
+    part = _interrupt(cfg, monkeypatch, step=7)
+    os.remove(straight.metrics_jsonl)
+    os.remove(straight.metrics_csv)
+    train(cfg, resume_from=part)
+    assert _run_files(straight) == want
+
+
+def test_resume_refuses_a_checkpoint_without_metrics(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, run_id="bare", eval_every=1).with_variant("C")
+    part = _interrupt(cfg, monkeypatch, step=7)
+    step, meta, arrays = read_checkpoint(part)
+    del meta["metrics"]
+    save_checkpoint(part, {name: SimpleNamespace(data=arr) for name, arr in arrays.items()},
+                    step, meta)
+    out = tmp_path / "runs"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(ValueError, match=r"^resume: checkpoint .*bare-C\.ckpt records no metrics$"):
         train(cfg, resume_from=part)
-    assert open(jsonl, "rb").readlines() == lines
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_train_rejects_foreign_corpus(tmp_path):
