@@ -200,6 +200,7 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         rows = meta["metrics"]
     os.makedirs(cfg.out_dir, exist_ok=True)
 
+    # "metrics" is the rows list itself, so each checkpoint holds every row so far
     meta = {"run_seed": cfg.seed, "run_id": cfg.run_id,
             "config": config_as_dict(cfg), "metrics": rows}
     final_rows: list[dict] = []
