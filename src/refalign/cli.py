@@ -15,7 +15,7 @@ import sys
 
 from .config import (RunConfig, W_SWEEP_GRID, config_from_dict, full_scale_config,
                      read_config)
-from .data import CorpusConfig, generate_corpus, load_corpus, save_corpus
+from .data import Corpus, CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .evaluation import encode_split, score_split
 from .gradcheck import format_report, run_checks, stop_gradient_contracts
 from .model import load_checkpoint, model_for_corpus, read_checkpoint
@@ -57,26 +57,23 @@ def _add_run_options(parser: argparse.ArgumentParser) -> list[str]:
     return _add_field_flags(parser, RunConfig)
 
 
-def _run_config(args: argparse.Namespace, names: list[str]) -> RunConfig:
+def _run_inputs(args: argparse.Namespace,
+                names: list[str]) -> tuple[RunConfig, Corpus | None]:
+    """The run's config (file or preset, then flags) and its --corpus-file
+    corpus, if any.  A loaded corpus overrides the [corpus] section:
+    training keys epoch accounting and batch sampling off cfg.corpus, so
+    the two must agree."""
     if args.config:
         base = read_config(args.config)
     elif args.full_scale:
         base = full_scale_config()
     else:
         base = RunConfig()
-    return _apply_field_flags(base, args, names)
-
-
-def _load_corpus_arg(args: argparse.Namespace):
-    return load_corpus(args.corpus_file) if args.corpus_file else None
-
-
-def _attach_corpus(cfg: RunConfig, corpus) -> RunConfig:
-    # a loaded corpus overrides the [corpus] section; training keys epoch
-    # accounting and batch sampling off cfg.corpus, so they must agree
-    if corpus is None or corpus.config == cfg.corpus:
-        return cfg
-    return dataclasses.replace(cfg, corpus=corpus.config)
+    cfg = _apply_field_flags(base, args, names)
+    if not args.corpus_file:
+        return cfg, None
+    corpus = load_corpus(args.corpus_file)
+    return dataclasses.replace(cfg, corpus=corpus.config), corpus
 
 
 def _comma_list(raw: str, kind, flag: str) -> tuple:
@@ -102,9 +99,8 @@ def _cmd_generate_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _run_config(args, args._field_names)
-    corpus = _load_corpus_arg(args)
-    result = train(_attach_corpus(cfg, corpus), corpus=corpus,
+    cfg, corpus = _run_inputs(args, args._field_names)
+    result = train(cfg, corpus=corpus,
                    resume_from=args.resume,
                    log=None if args.quiet else print)
     print(f"checkpoint: {result.checkpoint_path}")
@@ -116,12 +112,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _, meta, _ = read_checkpoint(args.checkpoint)
-    for key in ("config", "run_seed"):
-        if key not in meta:
-            raise ValueError(f"eval: checkpoint {args.checkpoint} records no {key}")
+    if "config" not in meta:
+        raise ValueError(f"eval: checkpoint {args.checkpoint} records no config")
     cfg = config_from_dict(meta["config"])
-    corpus = _load_corpus_arg(args) or generate_corpus(cfg.corpus)
-    model = model_for_corpus(cfg.encoder, corpus, meta["run_seed"])
+    corpus = load_corpus(args.corpus_file) if args.corpus_file else generate_corpus(cfg.corpus)
+    model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
     load_checkpoint(args.checkpoint, model.named_parameters())
     w = cfg.loss.refine_weight if args.w is None else args.w
     directions = ("t2i", "i2t") if args.direction == "both" else (args.direction,)
@@ -136,9 +131,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    base = _run_config(args, args._field_names)
-    corpus = _load_corpus_arg(args)
-    base = _attach_corpus(base, corpus)
+    base, corpus = _run_inputs(args, args._field_names)
     report = ablate(base, seeds=_comma_list(args.seeds, int, "--seeds"), corpus=corpus,
                     log=None if args.quiet else print)
     json_path, csv_path = write_ablation_report(report, base.out_dir)
@@ -149,9 +142,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_w(args: argparse.Namespace) -> int:
-    base = _run_config(args, args._field_names)
-    corpus = _load_corpus_arg(args)
-    base = _attach_corpus(base, corpus)
+    base, corpus = _run_inputs(args, args._field_names)
     report = sweep_w(base, seeds=_comma_list(args.seeds, int, "--seeds"), corpus=corpus,
                      w_grid=_comma_list(args.grid, float, "--grid"),
                      log=None if args.quiet else print)

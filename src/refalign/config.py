@@ -11,7 +11,7 @@ import configparser
 import dataclasses
 from dataclasses import dataclass, field, replace
 
-from .data import CorpusConfig
+from .data import CorpusConfig, exact_fields
 from .encoders import EncoderConfig
 from .losses import LossConfig
 
@@ -133,29 +133,22 @@ def _coerce(raw: str, pytype):
     return pytype(raw)
 
 
-def _fill(cls, parser: configparser.ConfigParser, name: str, **nested):
-    """Build cls from section [name] (defaults where it or a key is
-    absent) plus the already-built nested sections."""
-    defaults = cls()
-    known = {f.name for f in dataclasses.fields(cls)} - set(nested)
-    kwargs = {}
-    section = parser[name] if parser.has_section(name) else {}
-    for key, raw in section.items():
-        if key not in known:
-            raise KeyError(f"config file: unknown key {key!r} in [{name}]")
-        kwargs[key] = _coerce(raw, type(getattr(defaults, key)))
-    return cls(**nested, **kwargs)
-
-
 def read_config(path: str) -> RunConfig:
+    """RunConfig's defaults overlaid with the file's values, loaded through
+    config_from_dict; an unknown section or key is refused."""
     parser = configparser.ConfigParser()
     with open(path) as f:
         parser.read_file(f)
-    for sec in parser.sections():
-        if sec != "run" and sec not in _NESTED:
-            raise KeyError(f"config file: unknown section [{sec}]")
-    nested = {name: _fill(cls, parser, name) for name, cls in _NESTED.items()}
-    return _fill(RunConfig, parser, "run", **nested)
+    payload = config_as_dict(RunConfig())
+    for name in parser.sections():
+        if name != "run" and name not in _NESTED:
+            raise KeyError(f"config file: unknown section [{name}]")
+        section = payload if name == "run" else payload[name]
+        for key, raw in parser[name].items():
+            if key not in section or key in _NESTED:
+                raise KeyError(f"config file: unknown key {key!r} in [{name}]")
+            section[key] = _coerce(raw, type(section[key]))
+    return config_from_dict(payload)
 
 
 def write_config(cfg: RunConfig, path: str) -> None:
@@ -172,20 +165,12 @@ def config_as_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def _exact_fields(cls, payload: dict, name: str) -> None:
-    want = [f.name for f in dataclasses.fields(cls)]
-    problems = [f"{what} fields {keys}" for what, keys in (
-        ("unknown", [key for key in payload if key not in want]),
-        ("missing", [key for key in want if key not in payload])) if keys]
-    if problems:
-        raise ValueError(f"config [{name}]: " + ", ".join(problems))
-
-
 def config_from_dict(payload: dict) -> RunConfig:
     """Inverse of config_as_dict; every section must hold exactly its
-    dataclass's fields, so a dict from an older layout is refused by name."""
-    _exact_fields(RunConfig, payload, "run")
+    dataclass's fields, so a dict from an older layout is refused by name.
+    Every stored config, checkpoint meta or INI file, loads through here."""
+    exact_fields(RunConfig, payload, "run")
     for name, cls in _NESTED.items():
-        _exact_fields(cls, payload[name], name)
+        exact_fields(cls, payload[name], name)
     nested = {name: cls(**payload[name]) for name, cls in _NESTED.items()}
     return RunConfig(**{**payload, **nested})

@@ -14,7 +14,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,9 @@ _CORPUS_MAGIC = b"RFCORP01"
 # length sits where v2 keeps the version, so v1 files are refused
 _CORPUS_VERSION = 2
 _RAGGED = ("tokens", "dropped", "swapped")
+_CORPUS_ARRAYS = ("objects", *(f"{split}.{name}" for split in ("train", "test")
+                               for name in ("identity", "image", *_RAGGED,
+                                            *(f"{r}_len" for r in _RAGGED))))
 
 # fixed stream tags so independent consumers of one seed never collide
 STREAM_CORPUS = 11
@@ -285,6 +288,20 @@ def sample_batch(corpus: Corpus, identities_per_batch: int,
 
 # ----------------------------------------------------------------- file io
 
+def exact_fields(cls, payload, name: str) -> None:
+    """The one check on a stored config section: it must be an object
+    holding exactly cls's fields, so a missing field is never filled
+    with its default and an unknown one is never dropped."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"config [{name}]: expected an object, got {type(payload).__name__}")
+    want = [f.name for f in fields(cls)]
+    problems = [f"{what} fields {keys}" for what, keys in (
+        ("unknown", [key for key in payload if key not in want]),
+        ("missing", [key for key in want if key not in payload])) if keys]
+    if problems:
+        raise ValueError(f"config [{name}]: " + ", ".join(problems))
+
+
 @contextmanager
 def atomic_write(path: str):
     """Binary file handle on `<path>.tmp`, moved onto path with os.replace
@@ -387,8 +404,13 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 def load_corpus(path: str) -> Corpus:
     """Read a save_corpus file; a cut file fails naming the header, the
-    manifest or the array it ends in."""
+    manifest or the array it ends in, a missing array by its name, and a
+    header config without exactly CorpusConfig's fields by those fields."""
     header, arrays = load_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, "corpus file")
+    exact_fields(CorpusConfig, header.get("config"), "corpus")
+    for name in _CORPUS_ARRAYS:
+        if name not in arrays:
+            raise ValueError(f"corpus file: missing array {name!r}")
     objects = [ObjectSpec(row[0], tuple(row[1:]))
                for row in arrays["objects"].astype(np.int64).tolist()]
     splits = []

@@ -87,9 +87,13 @@ def save_checkpoint(path: str, params: dict[str, Tensor], step: int,
 
 
 def read_checkpoint(path: str) -> tuple[int, dict, dict[str, np.ndarray]]:
-    """-> (step, meta, name -> array); validates framing, not shapes."""
+    """-> (step, meta, name -> array); validates framing, not shapes.  A
+    header whose step is not an integer or whose meta is not an object
+    fails as a bad manifest."""
     header, arrays = load_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
-    return int(header["step"]), header["meta"], arrays
+    if not (isinstance(header.get("step"), int) and isinstance(header.get("meta"), dict)):
+        raise ValueError("checkpoint: bad manifest")
+    return header["step"], header["meta"], arrays
 
 
 def load_checkpoint(path: str, params: dict[str, Tensor],

@@ -430,12 +430,17 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------- training
 
+# Adam's moment decay rates and denominator floor; no run changes them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam(object):
     """Adam with bias correction.  State lives here; step() consumes a
     gradient map as produced by backward(wrt=params)."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params):
         params = list(params)
         if len({id(p) for p in params}) != len(params):
             raise ValueError("Adam: duplicate parameter")
@@ -443,9 +448,6 @@ class Adam(object):
             if not p.requires_grad:
                 raise ValueError(f"Adam: parameter {p.name or '?'} is not trainable")
         self.params = params
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in params]
         self._v = [np.zeros_like(p.data) for p in params]
@@ -455,19 +457,19 @@ class Adam(object):
         if not np.isfinite(lr) or lr < 0.0:
             raise ValueError(f"Adam: bad learning rate {lr}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = grads[p]
             if g.shape != p.data.shape:
                 raise ShapeError(f"Adam: gradient shape {g.shape} != parameter {p.data.shape}")
             if not np.all(np.isfinite(g)):
                 raise NumericsError(f"Adam: non-finite gradient for {p.name or '?'}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     # ------------------------------------------------------ serialization
 

@@ -11,14 +11,17 @@ import csv
 import io
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict
-from .data import (Corpus, PairBatch, STREAM_MASK, atomic_write, derive_rng,
-                   generate_corpus, sample_batch)
+from .config import (RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict,
+                     config_from_dict)
+from .data import (Corpus, PairBatch, STREAM_MASK, derive_rng, generate_corpus,
+                   sample_batch)
 from .evaluation import ENCODE_CHUNK, encode_split, score_split
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
@@ -62,10 +65,32 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_texts(texts: dict[str, str]) -> None:
-    """Each {path: text} through atomic_write, one file after the other."""
-    for path, text in texts.items():
-        with atomic_write(path) as f:
-            f.write(text.encode())
+    """Replace every {path: text} file, all or none.  Each text goes to
+    `<path>.tmp` before the first os.replace; if a write or a replace
+    fails, each path already replaced gets its previous bytes back (or is
+    removed if it had none), every temp file is removed, and the error
+    names every path."""
+    replaced: dict[str, bytes | None] = {}
+    try:
+        for path, text in texts.items():
+            Path(f"{path}.tmp").write_bytes(text.encode())
+        for path in texts:
+            previous = Path(path).read_bytes() if os.path.exists(path) else None
+            os.replace(f"{path}.tmp", path)
+            replaced[path] = previous
+    except BaseException as e:
+        for path, previous in replaced.items():
+            if previous is None:
+                os.remove(path)
+            else:
+                Path(path).write_bytes(previous)
+        for path in texts:
+            with suppress(FileNotFoundError):
+                os.remove(f"{path}.tmp")
+        if not isinstance(e, Exception):
+            raise
+        raise OSError(f"{' and '.join(texts)} left as they were: "
+                      f"{type(e).__name__}: {e}") from e
 
 
 def _reconstruct_masked(model: RetrievalModel, token_seqs, labels,
@@ -141,18 +166,16 @@ def _flatten(tree: dict, prefix: str = "") -> dict:
 
 
 def _check_resume_config(meta: dict, cfg: RunConfig) -> None:
-    """A resume must continue the checkpoint's own run: every config
-    field but run_id and out_dir has to match."""
+    """A resume must continue the checkpoint's own run: its config loads
+    through config_from_dict, and every field but run_id and out_dir has
+    to match."""
     if "config" not in meta:
         raise ValueError("resume: checkpoint records no config")
-    saved = _flatten(meta["config"])
-    live = _flatten(config_as_dict(cfg))
-    for key in [*live, *(k for k in saved if k not in live)]:
-        if key in ("run_id", "out_dir"):
-            continue
-        if saved.get(key) != live.get(key):
-            raise ValueError(f"resume: config field {key!r} is {saved.get(key)!r} "
-                             f"in the checkpoint but {live.get(key)!r} in this run")
+    saved = _flatten(config_as_dict(config_from_dict(meta["config"])))
+    for key, value in _flatten(config_as_dict(cfg)).items():
+        if key not in ("run_id", "out_dir") and saved[key] != value:
+            raise ValueError(f"resume: config field {key!r} is {saved[key]!r} "
+                             f"in the checkpoint but {value!r} in this run")
 
 
 def train(cfg: RunConfig, corpus: Corpus | None = None,
@@ -188,9 +211,6 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         step, meta = load_checkpoint(resume_from, params, optimizer)
         if step % cfg.steps_per_epoch != 0:
             raise ValueError(f"resume: step {step} is not an epoch boundary")
-        if meta.get("run_seed") != cfg.seed:
-            raise ValueError(f"resume: checkpoint seed {meta.get('run_seed')} "
-                             f"!= config seed {cfg.seed}")
         _check_resume_config(meta, cfg)
         if step == cfg.epochs * cfg.steps_per_epoch:
             raise ValueError(f"resume: {resume_from} is at step {step}, the end of "
@@ -198,11 +218,14 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         if "metrics" not in meta:
             raise ValueError(f"resume: checkpoint {resume_from} records no metrics")
         rows = meta["metrics"]
+        if not (isinstance(rows, list) and all(
+                isinstance(r, dict) and r.keys() == set(METRIC_COLUMNS) for r in rows)):
+            raise ValueError(f"resume: checkpoint {resume_from} records malformed "
+                             f"metric rows; each must hold exactly {list(METRIC_COLUMNS)}")
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     # "metrics" is the rows list itself, so each checkpoint holds every row so far
-    meta = {"run_seed": cfg.seed, "run_id": cfg.run_id,
-            "config": config_as_dict(cfg), "metrics": rows}
+    meta = {"config": config_as_dict(cfg), "metrics": rows}
     final_rows: list[dict] = []
     features = None
     for epoch in range(step // cfg.steps_per_epoch + 1, cfg.epochs + 1):

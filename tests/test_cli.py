@@ -2,14 +2,17 @@ import dataclasses
 import json
 import multiprocessing
 
+from types import SimpleNamespace
+
 import pytest
 
 import refalign.train
 from refalign.cli import main
-from refalign.config import RunConfig, write_config
+from refalign.config import RunConfig, read_config, write_config
 from refalign.data import CorpusConfig, generate_corpus, load_corpus, save_corpus
 from refalign.encoders import EncoderConfig
 from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
+from refalign.tensor import Adam
 
 _CC = CorpusConfig(n_train_identities=10, n_test_identities=4,
                    pairs_per_identity=2, n_slots=3, values_per_slot=5,
@@ -142,13 +145,13 @@ def test_eval_command(tmp_path, capsys):
     assert all(l["refined"] and l["w"] == 0.3 and "AP@4" in l for l in lines)
 
 
-@pytest.mark.parametrize("missing", ["config", "run_seed"])
+@pytest.mark.parametrize("missing", ["config"])
 def test_eval_names_a_missing_meta_field(tmp_path, missing):
     cfg = RunConfig(corpus=_CC, encoder=EncoderConfig(d=16, n_heads=4,
                                                       image_input_dim=_CC.image_dim),
                     warmup_epochs=1, batch_identities=5)
     model = model_for_corpus(cfg.encoder, generate_corpus(_CC), seed=0)
-    meta = {"run_seed": 0, "config": dataclasses.asdict(cfg)}
+    meta = {"config": dataclasses.asdict(cfg), "metrics": []}
     del meta[missing]
     ckpt = str(tmp_path / "bare.ckpt")
     save_checkpoint(ckpt, model.named_parameters(), step=0, meta=meta)
@@ -156,11 +159,12 @@ def test_eval_names_a_missing_meta_field(tmp_path, missing):
         main(["eval", "--checkpoint", ckpt])
 
 
-def test_eval_refuses_a_checkpoint_with_ablation_booleans(tmp_path):
-    # checkpoints written before `variant` record the row as four booleans
-    cfg = RunConfig(corpus=_CC, encoder=EncoderConfig(d=16, n_heads=4,
-                                                      image_input_dim=_CC.image_dim),
-                    warmup_epochs=1, batch_identities=5)
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_eval_refuses_a_checkpoint_with_ablation_booleans(tmp_path, command):
+    # checkpoints written before `variant` record the row as four booleans;
+    # eval and a resume refuse them with the same text
+    ini = _ini(tmp_path)
+    cfg = read_config(ini)
     model = model_for_corpus(cfg.encoder, generate_corpus(_CC), seed=0)
     config = dataclasses.asdict(cfg)
     del config["variant"]
@@ -168,9 +172,56 @@ def test_eval_refuses_a_checkpoint_with_ablation_booleans(tmp_path):
                   use_local_reconstruction=True, use_refinement=False)
     ckpt = str(tmp_path / "old.ckpt")
     save_checkpoint(ckpt, model.named_parameters(), step=0,
-                    meta={"run_seed": 0, "config": config})
-    with pytest.raises(ValueError, match="unknown fields .*'use_global_fusion'"):
-        main(["eval", "--checkpoint", ckpt])
+                    meta={"run_seed": 0, "config": config, "metrics": []},
+                    optimizer=Adam(model.parameters()))
+    argv = {"eval": ["eval", "--checkpoint", ckpt],
+            "resume": ["train", "--config", ini, "--resume", ckpt, "--quiet"]}[command]
+    with pytest.raises(ValueError, match=r"^config \[run\]: unknown fields \[.*'use_global_fusion'"
+                                         r".*\], missing fields \['variant'\]$"):
+        main(argv)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_eval_and_resume_accept_a_meta_with_run_seed_and_run_id(tmp_path, monkeypatch, capsys):
+    # checkpoints written before the meta kept only config and metrics
+    # also hold run_seed and run_id; both are ignored
+    ini = _ini(tmp_path, run_id="old", eval_every=1)
+    argv = ["train", "--config", ini, "--variant", "C", "--quiet"]
+    runs = tmp_path / "runs"
+    ckpt = str(runs / "old.ckpt")
+    names = ("old.ckpt", "old.metrics.jsonl", "old.metrics.csv")
+
+    def add_old_keys():
+        step, meta, arrays = read_checkpoint(ckpt)
+        assert set(meta) == {"config", "metrics"}
+        save_checkpoint(ckpt, {name: SimpleNamespace(data=arr) for name, arr in arrays.items()},
+                        step, {"run_seed": 0, "run_id": "old", **meta})
+
+    assert main(argv) == 0
+    straight = [(runs / name).read_bytes() for name in names]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--refine"]) == 0
+    scores = capsys.readouterr().out
+    add_old_keys()
+    assert main(["eval", "--checkpoint", ckpt, "--refine"]) == 0
+    assert capsys.readouterr().out == scores
+
+    # 2 steps per epoch: fail the first step of epoch 3, then resume from
+    # the step-4 checkpoint given the old keys
+    step_once = refalign.train.train_step
+
+    def failing(model, optimizer, batch, cfg, schedule, step):
+        if step == 5:
+            raise RuntimeError("interrupted")
+        return step_once(model, optimizer, batch, cfg, schedule, step)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(refalign.train, "train_step", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(argv)
+    add_old_keys()
+    assert main(argv + ["--resume", ckpt]) == 0
+    assert [(runs / name).read_bytes() for name in names] == straight
 
 
 def test_eval_w_needs_refine(tmp_path, capsys):

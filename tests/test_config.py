@@ -154,3 +154,8 @@ def test_dict_round_trip():
     payload["corpus"]["colour"] = 1
     with pytest.raises(ValueError, match=r"\[corpus\]: unknown fields \['colour'\]"):
         config_from_dict(payload)
+    # and a section must be an object at all
+    payload = config_as_dict(cfg)
+    payload["loss"] = [payload["loss"]]
+    with pytest.raises(ValueError, match=r"\[loss\]: expected an object, got list$"):
+        config_from_dict(payload)

@@ -310,6 +310,30 @@ def test_load_names_a_bad_manifest(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(ValueError, match="^corpus file: bad manifest$"):
             load_corpus(str(path))
+    # a well-formed manifest that lists no train.image array
+    path.write_bytes(blob.replace(b'"name":"train.image"', b'"name":"train.imagx"'))
+    with pytest.raises(ValueError, match=r"^corpus file: missing array 'train\.image'$"):
+        load_corpus(str(path))
+
+
+def test_load_refuses_a_header_config_without_exactly_its_fields(tmp_path):
+    # a header that had lost p_drop and seed once loaded with their
+    # defaults, and the corpus seed keys every batch a run draws
+    path = str(tmp_path / "corpus.bin")
+    save_corpus(generate_corpus(_cfg(p_drop=0.45, seed=9)), path)
+    header, arrays = data.load_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION,
+                                      "corpus file")
+    config = header["config"]
+    for bad, error in (({k: v for k, v in config.items() if k != "seed"},
+                        r"missing fields \['seed'\]"),
+                       ({k: v for k, v in config.items() if k not in ("p_drop", "seed")},
+                        r"missing fields \['p_drop', 'seed'\]"),
+                       ({**config, "colour": 1}, r"unknown fields \['colour'\]"),
+                       (None, "expected an object, got NoneType")):
+        data.save_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION,
+                         {"config": bad}, arrays)
+        with pytest.raises(ValueError, match=rf"^config \[corpus\]: {error}$"):
+            load_corpus(path)
 
 
 def test_save_corpus_replaces_the_file_atomically(tmp_path, monkeypatch):

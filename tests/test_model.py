@@ -168,14 +168,19 @@ def test_read_checkpoint_names_a_bad_manifest(tmp_path):
     corpus = _corpus()
     model, _ = _trained_state(corpus)
     path = tmp_path / "state.ckpt"
-    save_checkpoint(str(path), model.named_parameters(), step=1, meta={})
+    save_checkpoint(str(path), model.named_parameters(), step=10, meta={})
     blob = path.read_bytes()
-    # a manifest that is not JSON, one with no arrays entry, and arrays
-    # entries with no shape, offset or name
+    # a manifest that is not JSON, one with no arrays entry, arrays
+    # entries with no shape, offset or name, no step, a step that is not
+    # an integer, and a meta that is not an object
     for bad in (blob[:16] + b"x" + blob[17:], blob.replace(b'"arrays"', b'"arrayz"', 1),
                 blob.replace(b'"shape"', b'"shapx"', 1),
                 blob.replace(b'"offset"', b'"offsex"', 1),
-                blob.replace(b'"name"', b'"namx"', 1)):
+                blob.replace(b'"name"', b'"namx"', 1),
+                blob.replace(b'"step":10', b'"stex":10'),
+                blob.replace(b'"step":10', b'"step":""'),
+                blob.replace(b'"meta":{}', b'"meta":[]')):
+        assert len(bad) == len(blob) and bad != blob
         path.write_bytes(bad)
         with pytest.raises(ValueError, match="^checkpoint: bad manifest$"):
             read_checkpoint(str(path))

@@ -17,7 +17,6 @@ from refalign.encoders import EncoderConfig
 from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
 from refalign.tensor import Adam, ScheduleConfig
-import refalign.data
 import refalign.train
 from refalign import refinement
 from refalign.train import (METRIC_COLUMNS, REPORT_KEYS, ablate, format_ablation_table,
@@ -45,7 +44,9 @@ def test_train_writes_metrics_and_checkpoint(tmp_path):
     assert res.steps == 3 * 3
     step, meta, arrays = read_checkpoint(res.checkpoint_path)
     assert step == 9
-    assert meta["run_seed"] == 0 and meta["run_id"] == cfg.run_id
+    # the config records the seed and run_id once
+    assert set(meta) == {"config", "metrics"}
+    assert meta["config"]["seed"] == 0 and meta["config"]["run_id"] == cfg.run_id
     assert meta["config"]["epochs"] == 3
     assert "reference.bank" in arrays and "adam.t" in arrays
 
@@ -217,14 +218,23 @@ def test_resume_refuses_a_checkpoint_without_metrics(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, run_id="bare", eval_every=1).with_variant("C")
     part = _interrupt(cfg, monkeypatch, step=7)
     step, meta, arrays = read_checkpoint(part)
-    del meta["metrics"]
-    save_checkpoint(part, {name: SimpleNamespace(data=arr) for name, arr in arrays.items()},
-                    step, meta)
+    params = {name: SimpleNamespace(data=arr) for name, arr in arrays.items()}
+    row = meta["metrics"][0]
     out = tmp_path / "runs"
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    with pytest.raises(ValueError, match=r"^resume: checkpoint .*bare-C\.ckpt records no metrics$"):
-        train(cfg, resume_from=part)
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # no rows; rows that are not a list; a row that is not an object; a
+    # row short of a column; a row with an extra one
+    for metrics in (None, {"0": row}, [row, "row"],
+                    [{k: v for k, v in row.items() if k != "R@1"}], [{**row, "R@50": 1.0}]):
+        bad = {"config": meta["config"]}
+        error = "records no metrics"
+        if metrics is not None:
+            bad["metrics"] = metrics
+            error = "records malformed metric rows"
+        save_checkpoint(str(tmp_path / "bad.ckpt"), params, step, bad)
+        with pytest.raises(ValueError, match=rf"^resume: checkpoint .*bad\.ckpt {error}"):
+            train(cfg, resume_from=str(tmp_path / "bad.ckpt"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_train_rejects_foreign_corpus(tmp_path):
@@ -406,13 +416,33 @@ def test_ablation_report_is_replaced_atomically(tmp_path, monkeypatch):
     assert sorted(before) == ["ablation.csv", "ablation.json"]
     assert before["ablation.csv"].count(b"\r\n") == 3
 
-    def fail(src, dst):
-        raise OSError("disk full")
+    real_replace = os.replace
+    calls = []
 
-    monkeypatch.setattr(refalign.data.os, "replace", fail)
+    def fail_at(n):
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) >= n:
+                raise OSError("disk full")
+            real_replace(src, dst)
+        return replace
+
+    # every replace fails; then only the second, after ablation.json has
+    # been replaced, which must be put back
+    for n in (1, 2):
+        calls.clear()
+        monkeypatch.setattr(os, "replace", fail_at(n))
+        with pytest.raises(OSError, match=r"ablation\.json and .*ablation\.csv left as "
+                                          r"they were: OSError: disk full"):
+            write_ablation_report({**report, "seeds": [1]}, str(out))
+        assert len(calls) == n
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # a pair with no earlier files is left with none
+    fresh = tmp_path / "fresh"
+    calls.clear()
     with pytest.raises(OSError, match="disk full"):
-        write_ablation_report({**report, "seeds": [1]}, str(out))
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        write_ablation_report(report, str(fresh))
+    assert list(fresh.iterdir()) == []
 
 
 def test_ablation_job_failure_raises_with_its_run_id(tmp_path):
