@@ -1,26 +1,30 @@
 """Command line interface.
 
 Subcommands cover the whole workflow: generate-corpus, train, eval,
-ablate, sweep-w, and gradcheck.  Every scalar run option is exposed as a
-flag named after its config field; an INI config file (see read_config)
-supplies nested corpus/encoder/loss sections, and explicit flags win
-over the file.
+ablate, sweep-w, gradcheck, and fingerprint.  Every scalar run option is
+exposed as a flag named after its config field; an INI config file (see
+read_config) supplies nested corpus/encoder/loss sections, and explicit
+flags win over the file.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 
 from .config import (RunConfig, W_SWEEP_GRID, config_from_dict, full_scale_config,
-                     read_config)
-from .data import Corpus, CorpusConfig, generate_corpus, load_corpus, save_corpus
+                     read_config, trend_protocol_config)
+from .data import (Corpus, CorpusConfig, generate_corpus, load_corpus, sample_batch,
+                   save_corpus)
 from .evaluation import encode_split, score_split
 from .gradcheck import format_report, run_checks, stop_gradient_contracts
 from .model import load_checkpoint, model_for_corpus, read_checkpoint
-from .train import (ablate, format_ablation_table, sweep_w, train,
-                    write_ablation_report)
+from .refinement import cosine_scores, refined_scores
+from .tensor import Adam, ScheduleConfig
+from .train import (_SEED_STRIDE, ablate, format_ablation_table, sweep_w, train,
+                    train_step, write_ablation_report)
 
 
 def _add_field_flags(parser: argparse.ArgumentParser, cls) -> list[str]:
@@ -161,6 +165,48 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _sha256(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part if isinstance(part, bytes) else part.tobytes())
+    return digest.hexdigest()
+
+
+def _cmd_fingerprint(args: argparse.Namespace) -> int:
+    """sha256 lines that change when a bit of training or scoring does:
+    per variant, the first --steps trend-config steps as train() takes
+    them (losses, parameters, Adam moments); then the untrained model's
+    test features, t2i scores and rankings."""
+    cfg = trend_protocol_config()
+    corpus = generate_corpus(cfg.corpus)
+    schedule = ScheduleConfig(cfg.peak_lr, cfg.warmup_epochs, cfg.epochs,
+                              cfg.steps_per_epoch)
+    for variant in ("Baseline", "A", "C"):
+        run = cfg.with_variant(variant)
+        model = model_for_corpus(run.encoder, corpus, run.seed)
+        optimizer = Adam(model.parameters())
+        losses = [train_step(model, optimizer,
+                             sample_batch(corpus, run.batch_identities, run.batch_pairs,
+                                          seed=run.seed * _SEED_STRIDE + step),
+                             run, schedule, step)
+                  for step in range(1, args.steps + 1)]
+        print(f"{variant:<16}", _sha256(repr(losses).encode(),
+                                       *(p.data for p in optimizer.params),
+                                       *optimizer.state_arrays().values()))
+    model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
+    text, image, labels = encode_split(model, corpus, "test")
+    bank = model.bank.matrix()
+    w = cfg.loss.refine_weight
+    for name, arrays in (
+            ("test features", (text, image, labels)),
+            ("t2i plain", (cosine_scores(text, image),)),
+            ("t2i reranked", (refined_scores(text, image, bank, w),)),
+            ("t2i ranking", (score_split(text, image, labels, bank, "t2i").rankings,)),
+            ("i2t ranking", (score_split(text, image, labels, bank, "i2t").rankings,))):
+        print(f"{name:<16}", _sha256(*arrays))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refalign",
@@ -206,6 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
+
+    p = sub.add_parser("fingerprint", help="sha256 of the first trend-config "
+                                           "steps and of an untrained model's scores")
+    p.add_argument("--steps", type=int, default=20,
+                   help="train steps per variant (default 20)")
+    p.set_defaults(func=_cmd_fingerprint)
 
     return parser
 

@@ -4,24 +4,75 @@ Rankings sort scores descending with ties broken by lower gallery index,
 which keeps every number bit-reproducible.  `ranking` gets that order
 from an unstable vectorised argsort per block of RANK_BLOCK query rows,
 then re-orders only the tied runs, so it returns exactly what a stable
-sort would at the unstable sort's speed.  Ties are not rare: duplicate
-captions encode to identical text features, so every i2t row holds tied
-gallery scores.  R@K and AP@N are percentages; mAP lives in [0, 1].
+sort would at the unstable sort's speed; the blocks run on one thread
+per usable CPU.  Ties are not rare: duplicate captions encode to
+identical text features, so every i2t row holds tied gallery scores.
+R@K and AP@N are percentages; mAP lives in [0, 1].
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import refinement
+from . import tensor as T
 from .data import Corpus
 
 DEFAULT_AP_N = 50
 # pairs per forward pass when encoding a split or masked captions
 ENCODE_CHUNK = 64
-# query rows per argsort in ranking
-RANK_BLOCK = 256
+# query rows per argsort in ranking; each ranking thread holds one block's
+# temporaries at a time, so small blocks keep the threads' peak memory low
+RANK_BLOCK = 128
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rank_block(scores: np.ndarray, order: np.ndarray, lo: int) -> None:
+    """Rank rows lo:lo + RANK_BLOCK of scores into the same rows of order.
+
+    The block gets the unstable vectorised argsort; then only the members
+    of tied runs (adjacent equal values in the sorted row, -0.0 == 0.0
+    included) are re-ordered by (run, gallery index) with one integer
+    sort.  Only numpy calls, which release the GIL, so blocks can run on
+    threads side by side.
+    """
+    ng = scores.shape[1]
+    neg = -scores[lo:lo + RANK_BLOCK]
+    # flat positions in the block, so one 1-d gather reads the sorted row
+    off = np.arange(0, neg.size, ng)[:, None]
+    idx = np.argsort(neg, axis=1)
+    idx += off
+    vals = np.take(neg, idx)
+    # -inf sorts first, +inf and NaN last, so the row ends show them all
+    finite = np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
+    if not finite.all():
+        raise ValueError(f"ranking: query row {lo + int(np.argmin(finite))} "
+                         f"holds a non-finite score")
+    tie = vals[:, 1:] == vals[:, :-1]
+    if tie.any():
+        member = np.zeros(idx.shape, dtype=bool)
+        member[:, 1:] = tie
+        member[:, :-1] |= tie
+        opens = member.copy()
+        opens[:, 1:] &= ~tie
+        pos = np.flatnonzero(member)
+        # runs sit in position order and each lies in one row, so sorting
+        # (run, flat position) keys puts every run's members back on its
+        # own positions, lowest gallery index first
+        run = np.cumsum(np.take(opens, pos))
+        key = np.sort(run * neg.size + np.take(idx, pos))
+        np.put(idx, pos, key - run * neg.size)
+    np.subtract(idx, off, out=order[lo:lo + RANK_BLOCK])
 
 
 def ranking(scores: np.ndarray) -> np.ndarray:
@@ -29,44 +80,23 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     order, exactly as np.argsort(-scores, axis=1, kind="stable") orders
     them.
 
-    Each block of RANK_BLOCK rows gets the unstable vectorised argsort;
-    then only the members of tied runs (adjacent equal values in the
-    sorted row, -0.0 == 0.0 included) are re-ordered by (run, gallery
-    index) with one integer sort.  Non-finite scores are refused, since
-    the repair keys on == and NaN equals nothing.
+    Blocks of RANK_BLOCK rows are ranked by _rank_block, on one thread per
+    usable CPU when there is more than one block.  Non-finite scores are
+    refused, naming the first bad row, since the tie repair keys on ==
+    and NaN equals nothing.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ValueError(f"ranking: need a non-empty score matrix, got shape {scores.shape}")
-    nq, ng = scores.shape
-    order = np.empty((nq, ng), dtype=np.intp)
-    for lo in range(0, nq, RANK_BLOCK):
-        neg = -scores[lo:lo + RANK_BLOCK]
-        # flat positions in the block, so one 1-d gather reads the sorted row
-        off = np.arange(0, neg.size, ng)[:, None]
-        idx = np.argsort(neg, axis=1)
-        idx += off
-        vals = np.take(neg, idx)
-        # -inf sorts first, +inf and NaN last, so the row ends show them all
-        finite = np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
-        if not finite.all():
-            raise ValueError(f"ranking: query row {lo + int(np.argmin(finite))} "
-                             f"holds a non-finite score")
-        tie = vals[:, 1:] == vals[:, :-1]
-        if tie.any():
-            member = np.zeros(idx.shape, dtype=bool)
-            member[:, 1:] = tie
-            member[:, :-1] |= tie
-            opens = member.copy()
-            opens[:, 1:] &= ~tie
-            pos = np.flatnonzero(member)
-            # runs sit in position order and each lies in one row, so sorting
-            # (run, flat position) keys puts every run's members back on its
-            # own positions, lowest gallery index first
-            run = np.cumsum(np.take(opens, pos))
-            key = np.sort(run * neg.size + np.take(idx, pos))
-            np.put(idx, pos, key - run * neg.size)
-        np.subtract(idx, off, out=order[lo:lo + RANK_BLOCK])
+    order = np.empty(scores.shape, dtype=np.intp)
+    starts = range(0, scores.shape[0], RANK_BLOCK)
+    if len(starts) == 1:
+        _rank_block(scores, order, 0)
+        return order
+    with ThreadPoolExecutor(min(len(starts), usable_cpus())) as pool:
+        # results are read in block order, so the lowest bad block raises
+        for _ in pool.map(lambda lo: _rank_block(scores, order, lo), starts):
+            pass
     return order
 
 
@@ -144,15 +174,17 @@ class RetrievalResult:
 def encode_split(model, corpus: Corpus, split: str):
     """-> (text features, image features, labels) as plain arrays.
 
-    Encodes ENCODE_CHUNK pairs at a time and keeps only each chunk's
-    feature values, so no more than one chunk's graph is ever alive.
+    Encodes ENCODE_CHUNK pairs at a time under T.inference(), so no
+    graph is built, and keeps only each chunk's feature values.
     """
     pairs = corpus.split_pairs(split)
     text, image = [], []
-    for lo in range(0, len(pairs), ENCODE_CHUNK):
-        part = pairs[lo:lo + ENCODE_CHUNK]
-        text.append(model.text_encoder.encode_batch([p.tokens for p in part])[0].data)
-        image.append(model.image_encoder.encode_batch(np.stack([p.image for p in part])).data)
+    with T.inference():
+        for lo in range(0, len(pairs), ENCODE_CHUNK):
+            part = pairs[lo:lo + ENCODE_CHUNK]
+            text.append(model.text_encoder.encode_batch([p.tokens for p in part])[0].data)
+            image.append(model.image_encoder.encode_batch(
+                np.stack([p.image for p in part])).data)
     labels = np.asarray([p.identity_id for p in pairs], dtype=np.int64)
     return np.concatenate(text), np.concatenate(image), labels
 

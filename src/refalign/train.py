@@ -22,7 +22,7 @@ from .config import (RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict,
                      config_from_dict)
 from .data import (Corpus, PairBatch, STREAM_MASK, derive_rng, generate_corpus,
                    sample_batch)
-from .evaluation import ENCODE_CHUNK, encode_split, score_split
+from .evaluation import ENCODE_CHUNK, encode_split, score_split, usable_cpus
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
 from .reference import mask_tokens
@@ -269,24 +269,26 @@ def masked_eval(model: RetrievalModel, corpus: Corpus, split: str = "train",
     """Deterministic masked-token accuracy and perplexity over a split.
 
     Uses each pair's own identity reference, so the split must be one the
-    bank covers (train, unless the bank was built wider).
+    bank covers (train, unless the bank was built wider).  Runs under
+    T.inference(), so no graph is built.
     """
     pairs = corpus.split_pairs(split)
     total_nll = 0.0
     hits = 0
     count = 0
-    for lo in range(0, len(pairs), ENCODE_CHUNK):
-        part = pairs[lo:lo + ENCODE_CHUNK]
-        recon = _reconstruct_masked(
-            model, [p.tokens for p in part], np.asarray([p.identity_id for p in part]),
-            ratio, [derive_rng(seed, STREAM_MASK, lo + i) for i in range(len(part))])
-        if recon is None:
-            continue
-        probs, targets = recon[0].data, recon[1]
-        picked = probs[np.arange(targets.size), targets]
-        total_nll += float(-np.log(picked + 1e-300).sum())
-        hits += int((probs.argmax(axis=1) == targets).sum())
-        count += targets.size
+    with T.inference():
+        for lo in range(0, len(pairs), ENCODE_CHUNK):
+            part = pairs[lo:lo + ENCODE_CHUNK]
+            recon = _reconstruct_masked(
+                model, [p.tokens for p in part], np.asarray([p.identity_id for p in part]),
+                ratio, [derive_rng(seed, STREAM_MASK, lo + i) for i in range(len(part))])
+            if recon is None:
+                continue
+            probs, targets = recon[0].data, recon[1]
+            picked = probs[np.arange(targets.size), targets]
+            total_nll += float(-np.log(picked + 1e-300).sum())
+            hits += int((probs.argmax(axis=1) == targets).sum())
+            count += targets.size
     if count == 0:
         raise ValueError("masked_eval: no maskable tokens in the split")
     return {"accuracy": hits / count,
@@ -320,12 +322,6 @@ def _plan_job(cfg: RunConfig, corpus: Corpus, weights) -> tuple[dict, list[str]]
                 scores[w] = _report_columns(score_split(
                     *result.features, result.model.bank.matrix(), "t2i", True, w).metrics)
     return scores, lines
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) -> dict:
@@ -363,7 +359,7 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     # longest first (reconstruction, then guidance), so no long job starts last
     jobs.sort(key=lambda job: (not job[1].reconstructs, not job[1].guided))
     rows: dict = {}
-    pool = ProcessPoolExecutor(min(len(jobs), _usable_cpus()),
+    pool = ProcessPoolExecutor(min(len(jobs), usable_cpus()),
                                mp_context=multiprocessing.get_context("spawn"))
     try:
         futures = {pool.submit(_plan_job, cfg, corpus, ws): (k, cfg) for k, cfg, ws in jobs}

@@ -4,8 +4,10 @@ import multiprocessing
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import refalign.cli
 import refalign.train
 from refalign.cli import main
 from refalign.config import RunConfig, read_config, write_config
@@ -257,6 +259,31 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_fingerprint_command(capsys, monkeypatch):
+    assert main(["fingerprint", "--steps", "2"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in first] == [
+        "Baseline", "A", "C", "test", "t2i", "t2i", "t2i", "i2t"]
+    assert main(["fingerprint", "--steps", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == first
+
+    # one ulp on one parameter of the second model built, variant A's
+    built = []
+
+    def nudged(*args):
+        model = model_for_corpus(*args)
+        built.append(model)
+        if len(built) == 2:
+            p = model.parameters()[0].data
+            p.flat[0] = np.nextafter(p.flat[0], np.inf)
+        return model
+
+    monkeypatch.setattr(refalign.cli, "model_for_corpus", nudged)
+    assert main(["fingerprint", "--steps", "2"]) == 0
+    changed = capsys.readouterr().out.splitlines()
+    assert [a == b for a, b in zip(first, changed)] == [True, False] + [True] * 6
 
 
 def test_parser_rejections(tmp_path):

@@ -5,10 +5,15 @@ sorted() so they share no code with the library; sums go through np.sum
 so both sides reduce in the same order and the comparison can demand
 exact equality.
 """
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from refalign import refinement
+from refalign import evaluation, refinement
+from refalign import tensor as T
 from refalign.config import RunConfig
 from refalign.data import CorpusConfig, derive_rng, generate_corpus
 from refalign.evaluation import (ENCODE_CHUNK, RANK_BLOCK, ap_at_n,
@@ -16,6 +21,7 @@ from refalign.evaluation import (ENCODE_CHUNK, RANK_BLOCK, ap_at_n,
                                  rank_at_k, ranking, run_retrieval,
                                  score_split)
 from refalign.model import EncoderConfig, model_for_corpus
+from refalign.train import masked_eval
 
 
 def _oracle_order(scores):
@@ -100,7 +106,9 @@ def _tie_heavy_cases():
     cases["0.0 mixed with -0.0"] = signed
     cases["one column"] = rng.normal(size=(7, 1))
     cases["one row"] = np.round(rng.normal(size=(1, 60)), 1)
-    for n in (RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1):
+    # one, two and three blocks, the last one short, full or a single row
+    for n in (RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1,
+              2 * RANK_BLOCK - 1, 2 * RANK_BLOCK, 2 * RANK_BLOCK + 1):
         cases[f"{n} rows"] = np.round(rng.normal(size=(n, 25)), 1)
     cases["float32"] = np.round(rng.normal(size=(30, 40)), 1).astype(np.float32)
     cases["integer"] = rng.integers(-3, 4, size=(30, 40))
@@ -116,9 +124,9 @@ def test_ranking_equals_stable_argsort_on_ties(name):
     assert np.array_equal(order, np.argsort(-scores, axis=1, kind="stable"))
 
 
-def test_ranking_equals_stable_argsort_on_corpus_i2t():
+def test_ranking_equals_stable_argsort_on_corpus_i2t(monkeypatch):
     # duplicate captions encode to identical text features, so every image
-    # query sees tied gallery scores
+    # query sees tied gallery scores; the order holds on any thread count
     cc = CorpusConfig(n_train_identities=4, n_test_identities=75,
                       pairs_per_identity=4, n_slots=3, values_per_slot=5,
                       background_dims=4, p_drop=0.5, seed=8)
@@ -127,20 +135,41 @@ def test_ranking_equals_stable_argsort_on_corpus_i2t():
                              corpus, seed=2)
     text, image, _ = encode_split(model, corpus, "test")
     scores = refinement.cosine_scores(image, text)
-    assert scores.shape[0] > RANK_BLOCK
+    assert scores.shape[0] > 2 * RANK_BLOCK
     ranked = np.sort(scores, axis=1)
     assert (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).all()
-    assert np.array_equal(ranking(scores), np.argsort(-scores, axis=1, kind="stable"))
+    expect = np.argsort(-scores, axis=1, kind="stable")
+    # up to one thread per block, more than the cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+            assert np.array_equal(ranking(scores), expect)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_ranking_refuses_non_finite_scores():
     for bad in (np.nan, np.inf, -np.inf):
         for row in (0, RANK_BLOCK - 1, RANK_BLOCK + 2):
-            scores = np.zeros((RANK_BLOCK + 5, 6))
+            scores = np.zeros((3 * RANK_BLOCK + 5, 6))
             scores[row, 3] = bad
-            scores[-1, 0] = np.nan       # a later bad row is not the one named
+            # a later bad row, in a later block, is not the one named
+            scores[-1, 0] = np.nan
             with pytest.raises(ValueError, match=f"query row {row} holds a non-finite"):
                 ranking(scores)
+
+
+def test_ranking_leaves_no_thread_behind():
+    scores = np.round(derive_rng(37, 98).normal(size=(3 * RANK_BLOCK, 20)), 1)
+    before = threading.active_count()
+    ranking(scores)
+    assert threading.active_count() == before
+    scores[RANK_BLOCK, 0] = np.nan
+    with pytest.raises(ValueError, match=f"query row {RANK_BLOCK} "):
+        ranking(scores)
+    assert threading.active_count() == before
 
 
 def test_recall_is_monotone_in_k():
@@ -272,6 +301,17 @@ def test_encode_split_chunks_match_one_batch():
     assert np.array_equal(text, whole_text)
     assert np.array_equal(image, whole_image)
     np.testing.assert_array_equal(labels, [p.identity_id for p in pairs])
+
+
+def test_eval_passes_are_bitwise_equal_without_inference(monkeypatch):
+    # T.inference() only stops graph recording; every value stays the same
+    model, corpus = _micro_setup()
+    features = encode_split(model, corpus, "test")
+    masked = masked_eval(model, corpus, split="train", ratio=0.5, seed=0)
+    monkeypatch.setattr(T, "inference", contextlib.nullcontext)
+    for a, b in zip(features, encode_split(model, corpus, "test")):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert masked_eval(model, corpus, split="train", ratio=0.5, seed=0) == masked
 
 
 def test_score_split_matches_per_metric_functions():
