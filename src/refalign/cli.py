@@ -16,15 +16,16 @@ import sys
 
 from .config import (RunConfig, W_SWEEP_GRID, config_from_dict, full_scale_config,
                      read_config, trend_protocol_config)
-from .data import (Corpus, CorpusConfig, generate_corpus, load_corpus, sample_batch,
-                   save_corpus)
+from .data import Corpus, CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .evaluation import encode_split, score_split
 from .gradcheck import format_report, run_checks, stop_gradient_contracts
 from .model import load_checkpoint, model_for_corpus, read_checkpoint
 from .refinement import cosine_scores, refined_scores
-from .tensor import Adam, ScheduleConfig
-from .train import (_SEED_STRIDE, ablate, format_ablation_table, sweep_w, train,
-                    train_step, write_ablation_report)
+from .train import (ablate, format_ablation_table, run_steps, start_run, sweep_w,
+                    train, write_ablation_report)
+
+# trend-config train steps per variant in `refalign fingerprint`
+FINGERPRINT_STEPS = 20
 
 
 def _add_field_flags(parser: argparse.ArgumentParser, cls) -> list[str]:
@@ -174,22 +175,17 @@ def _sha256(*parts) -> str:
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
     """sha256 lines that change when a bit of training or scoring does:
-    per variant, the first --steps trend-config steps as train() takes
-    them (losses, parameters, Adam moments); then the untrained model's
-    test features, t2i scores and rankings."""
+    per variant, the first FINGERPRINT_STEPS trend-config steps through
+    train()'s own start_run and run_steps (losses, parameters, Adam
+    moments); then the untrained model's test features, t2i scores and
+    rankings."""
     cfg = trend_protocol_config()
     corpus = generate_corpus(cfg.corpus)
-    schedule = ScheduleConfig(cfg.peak_lr, cfg.warmup_epochs, cfg.epochs,
-                              cfg.steps_per_epoch)
     for variant in ("Baseline", "A", "C"):
         run = cfg.with_variant(variant)
-        model = model_for_corpus(run.encoder, corpus, run.seed)
-        optimizer = Adam(model.parameters())
-        losses = [train_step(model, optimizer,
-                             sample_batch(corpus, run.batch_identities, run.batch_pairs,
-                                          seed=run.seed * _SEED_STRIDE + step),
-                             run, schedule, step)
-                  for step in range(1, args.steps + 1)]
+        model, _, optimizer, schedule = start_run(run, corpus)
+        losses = list(run_steps(model, optimizer, corpus, run, schedule,
+                                1, FINGERPRINT_STEPS))
         print(f"{variant:<16}", _sha256(repr(losses).encode(),
                                        *(p.data for p in optimizer.params),
                                        *optimizer.state_arrays().values()))
@@ -255,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fingerprint", help="sha256 of the first trend-config "
                                            "steps and of an untrained model's scores")
-    p.add_argument("--steps", type=int, default=20,
-                   help="train steps per variant (default 20)")
     p.set_defaults(func=_cmd_fingerprint)
 
     return parser

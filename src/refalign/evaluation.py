@@ -5,9 +5,11 @@ which keeps every number bit-reproducible.  `ranking` gets that order
 from an unstable vectorised argsort per block of RANK_BLOCK query rows,
 then re-orders only the tied runs, so it returns exactly what a stable
 sort would at the unstable sort's speed; the blocks run on one thread
-per usable CPU.  Ties are not rare: duplicate captions encode to
-identical text features, so every i2t row holds tied gallery scores.
-R@K and AP@N are percentages; mAP lives in [0, 1].
+per usable CPU, or inline where the caller already runs one process per
+CPU (ablation jobs, inside refinement.one_thread()).  Ties are not rare:
+duplicate captions encode to identical text features, so every i2t row
+holds tied gallery scores.  R@K and AP@N are percentages; mAP lives in
+[0, 1].
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import refinement
-from . import tensor as T
 from .data import Corpus
 
 DEFAULT_AP_N = 50
@@ -81,19 +82,21 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     them.
 
     Blocks of RANK_BLOCK rows are ranked by _rank_block, on one thread per
-    usable CPU when there is more than one block.  Non-finite scores are
-    refused, naming the first bad row, since the tie repair keys on ==
-    and NaN equals nothing.
+    usable CPU when there is more than one block, and inline inside
+    refinement.one_thread().  Non-finite scores are refused, naming the
+    first bad row, since the tie repair keys on == and NaN equals nothing.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ValueError(f"ranking: need a non-empty score matrix, got shape {scores.shape}")
     order = np.empty(scores.shape, dtype=np.intp)
     starts = range(0, scores.shape[0], RANK_BLOCK)
-    if len(starts) == 1:
-        _rank_block(scores, order, 0)
+    threads = 1 if refinement.single_threaded else min(len(starts), usable_cpus())
+    if threads == 1:
+        for lo in starts:
+            _rank_block(scores, order, lo)
         return order
-    with ThreadPoolExecutor(min(len(starts), usable_cpus())) as pool:
+    with ThreadPoolExecutor(threads) as pool:
         # results are read in block order, so the lowest bad block raises
         for _ in pool.map(lambda lo: _rank_block(scores, order, lo), starts):
             pass
@@ -174,17 +177,15 @@ class RetrievalResult:
 def encode_split(model, corpus: Corpus, split: str):
     """-> (text features, image features, labels) as plain arrays.
 
-    Encodes ENCODE_CHUNK pairs at a time under T.inference(), so no
-    graph is built, and keeps only each chunk's feature values.
+    Encodes ENCODE_CHUNK pairs at a time and keeps only each chunk's
+    feature values, so no more than one chunk's graph is ever alive.
     """
     pairs = corpus.split_pairs(split)
     text, image = [], []
-    with T.inference():
-        for lo in range(0, len(pairs), ENCODE_CHUNK):
-            part = pairs[lo:lo + ENCODE_CHUNK]
-            text.append(model.text_encoder.encode_batch([p.tokens for p in part])[0].data)
-            image.append(model.image_encoder.encode_batch(
-                np.stack([p.image for p in part])).data)
+    for lo in range(0, len(pairs), ENCODE_CHUNK):
+        part = pairs[lo:lo + ENCODE_CHUNK]
+        text.append(model.text_encoder.encode_batch([p.tokens for p in part])[0].data)
+        image.append(model.image_encoder.encode_batch(np.stack([p.image for p in part])).data)
     labels = np.asarray([p.identity_id for p in pairs], dtype=np.int64)
     return np.concatenate(text), np.concatenate(image), labels
 

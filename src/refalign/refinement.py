@@ -10,6 +10,8 @@ The reference-space products run on one BLAS thread.  They are narrow
 (inner size d or less); on a loaded 2-vCPU host each hand-off to a BLAS
 worker waited 8-14 ms, against about 1 ms for a whole 1000-row product on
 one thread.  Their last bits then no longer follow the thread count.
+one_thread() also makes evaluation.ranking rank inline; each ablation
+job, one process per CPU, runs whole inside it.
 """
 from __future__ import annotations
 
@@ -33,15 +35,24 @@ def _openblas_threads():
     return None
 
 
+# True inside one_thread(), where evaluation.ranking ranks its blocks inline
+single_threaded = False
+
+
 @contextmanager
-def _one_blas_thread():
+def one_thread():
+    """Run the block on one thread: the loaded OpenBLAS, and ranking's
+    block pool.  The previous state comes back on exit, so blocks nest."""
+    global single_threaded
     get, set_ = _openblas_threads() or (lambda: None, lambda n: None)
-    before = get()
+    before, saved = get(), single_threaded
     set_(1)
+    single_threaded = True
     try:
         yield
     finally:
         set_(before)
+        single_threaded = saved
 
 
 def cosine_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,7 +79,7 @@ def reference_similarity(query_feats: np.ndarray, gallery_feats: np.ndarray,
     q, g, bank = (np.asarray(a, dtype=np.float64) for a in (query_feats, gallery_feats, bank))
     if not q.ndim == g.ndim == bank.ndim == 2 or not q.shape[1] == g.shape[1] == bank.shape[1]:
         raise ValueError(f"reference: shapes {q.shape} / {g.shape} / {bank.shape} do not pair")
-    with _one_blas_thread():
+    with one_thread():
         r = np.linalg.qr(bank, mode="r")
         return cosine_scores(q @ r.T, g @ r.T)
 

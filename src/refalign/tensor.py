@@ -12,14 +12,8 @@ layer norm, L2 normalization, ...) act on the last axis and accept any
 number of leading batch axes.  Every lookup (token and position
 embeddings, EOS pooling, reference rows, masked positions, the pairs of
 a similarity matrix) is the one gather, take().
-
-Inside `with inference():` operators record no graph: results keep no
-parents or VJP closures, so a forward-only pass frees each intermediate
-as soon as it is unused.  The finiteness checks still run.
 """
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -46,26 +40,6 @@ class NumericsError(FloatingPointError):
 
 class GraphError(RuntimeError):
     """Graph API misuse, e.g. backward from a non-scalar."""
-
-
-# False inside inference(); process-wide, not per thread
-_recording = True
-
-
-@contextlib.contextmanager
-def inference():
-    """Build no graph inside the block.  Results that depend on a
-    trainable tensor still say requires_grad, but keep no parents, so
-    backward() from one raises GraphError rather than returning zeros.
-    The previous state comes back when the block exits, also on an
-    exception, so blocks nest."""
-    global _recording
-    saved = _recording
-    _recording = False
-    try:
-        yield
-    finally:
-        _recording = saved
 
 
 class Tensor:
@@ -98,13 +72,13 @@ class Tensor:
         t.data = data
         t.name = None
         t._op = op
-        t.requires_grad = any(p.requires_grad for p in parents)
-        if t.requires_grad and _recording:
+        if any(p.requires_grad for p in parents):
+            t.requires_grad = True
             t._parents = tuple(parents)
             t._vjps = tuple(vjps)
         else:
-            # dead subgraphs are dropped eagerly so constants stay cheap, and
-            # inside inference() no graph is kept at all
+            # dead subgraphs are dropped eagerly so constants stay cheap
+            t.requires_grad = False
             t._parents = ()
             t._vjps = ()
         return t
@@ -154,9 +128,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if not node._parents and node._op != "leaf":
-            raise GraphError(f"backward: a {node._op} result was built under "
-                             f"inference(), which records no graph")
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:

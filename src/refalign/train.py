@@ -26,7 +26,7 @@ from .evaluation import ENCODE_CHUNK, encode_split, score_split, usable_cpus
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
 from .reference import mask_tokens
-from .refinement import _one_blas_thread
+from .refinement import one_thread
 from .tensor import Adam, NumericsError, ScheduleConfig, lr_at
 
 REPORT_KEYS = ("R@1", "R@5", "R@10", "mAP", "AP@N")
@@ -178,6 +178,34 @@ def _check_resume_config(meta: dict, cfg: RunConfig) -> None:
                              f"in the checkpoint but {value!r} in this run")
 
 
+def start_run(cfg: RunConfig, corpus: Corpus):
+    """The untrained model, its named parameters, a fresh Adam over them
+    and the LR schedule, as train() starts cfg's run.
+    -> (model, params, optimizer, schedule)."""
+    model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
+    params = model.named_parameters()
+    optimizer = Adam(list(params.values()))
+    schedule = ScheduleConfig(cfg.peak_lr, cfg.warmup_epochs, cfg.epochs,
+                              cfg.steps_per_epoch)
+    return model, params, optimizer, schedule
+
+
+def run_steps(model: RetrievalModel, optimizer: Adam, corpus: Corpus, cfg: RunConfig,
+              schedule: ScheduleConfig, first: int, last: int):
+    """Steps first..last of cfg's run, as train() takes them; yields each
+    step's loss.  Step s trains on the batch sampled with seed
+    cfg.seed * _SEED_STRIDE + s."""
+    for step in range(first, last + 1):
+        batch = sample_batch(corpus, cfg.batch_identities, cfg.batch_pairs,
+                             seed=cfg.seed * _SEED_STRIDE + step)
+        try:
+            loss = train_step(model, optimizer, batch, cfg, schedule, step)
+        except NumericsError as e:
+            raise RuntimeError(f"training aborted at step {step} (epoch "
+                               f"{(step - 1) // cfg.steps_per_epoch + 1}): {e}") from e
+        yield loss
+
+
 def train(cfg: RunConfig, corpus: Corpus | None = None,
           resume_from: str | None = None, log=None) -> TrainResult:
     """Run the configured protocol end to end.
@@ -196,11 +224,7 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     elif corpus.config != cfg.corpus:
         raise ValueError("corpus does not match cfg.corpus; epoch accounting "
                          "and batch sampling key off the config")
-    model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
-    params = model.named_parameters()
-    optimizer = Adam(list(params.values()))
-    schedule = ScheduleConfig(cfg.peak_lr, cfg.warmup_epochs, cfg.epochs,
-                              cfg.steps_per_epoch)
+    model, params, optimizer, schedule = start_run(cfg, corpus)
     ckpt_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.ckpt")
     jsonl_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.jsonl")
     csv_path = os.path.join(cfg.out_dir, f"{cfg.run_id}.metrics.csv")
@@ -230,15 +254,10 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
     features = None
     for epoch in range(step // cfg.steps_per_epoch + 1, cfg.epochs + 1):
         epoch_loss = 0.0
-        for _ in range(cfg.steps_per_epoch):
-            step += 1
-            batch = sample_batch(corpus, cfg.batch_identities, cfg.batch_pairs,
-                                 seed=cfg.seed * _SEED_STRIDE + step)
-            try:
-                epoch_loss += train_step(model, optimizer, batch, cfg, schedule, step)
-            except NumericsError as e:
-                raise RuntimeError(f"training aborted at step {step} "
-                                   f"(epoch {epoch}): {e}") from e
+        for loss in run_steps(model, optimizer, corpus, cfg, schedule,
+                              step + 1, step + cfg.steps_per_epoch):
+            epoch_loss += loss
+        step += cfg.steps_per_epoch
         due = cfg.eval_every and epoch % cfg.eval_every == 0
         if due or epoch == cfg.epochs:
             features = encode_split(model, corpus, "test")
@@ -269,26 +288,24 @@ def masked_eval(model: RetrievalModel, corpus: Corpus, split: str = "train",
     """Deterministic masked-token accuracy and perplexity over a split.
 
     Uses each pair's own identity reference, so the split must be one the
-    bank covers (train, unless the bank was built wider).  Runs under
-    T.inference(), so no graph is built.
+    bank covers (train, unless the bank was built wider).
     """
     pairs = corpus.split_pairs(split)
     total_nll = 0.0
     hits = 0
     count = 0
-    with T.inference():
-        for lo in range(0, len(pairs), ENCODE_CHUNK):
-            part = pairs[lo:lo + ENCODE_CHUNK]
-            recon = _reconstruct_masked(
-                model, [p.tokens for p in part], np.asarray([p.identity_id for p in part]),
-                ratio, [derive_rng(seed, STREAM_MASK, lo + i) for i in range(len(part))])
-            if recon is None:
-                continue
-            probs, targets = recon[0].data, recon[1]
-            picked = probs[np.arange(targets.size), targets]
-            total_nll += float(-np.log(picked + 1e-300).sum())
-            hits += int((probs.argmax(axis=1) == targets).sum())
-            count += targets.size
+    for lo in range(0, len(pairs), ENCODE_CHUNK):
+        part = pairs[lo:lo + ENCODE_CHUNK]
+        recon = _reconstruct_masked(
+            model, [p.tokens for p in part], np.asarray([p.identity_id for p in part]),
+            ratio, [derive_rng(seed, STREAM_MASK, lo + i) for i in range(len(part))])
+        if recon is None:
+            continue
+        probs, targets = recon[0].data, recon[1]
+        picked = probs[np.arange(targets.size), targets]
+        total_nll += float(-np.log(picked + 1e-300).sum())
+        hits += int((probs.argmax(axis=1) == targets).sum())
+        count += targets.size
     if count == 0:
         raise ValueError("masked_eval: no maskable tokens in the split")
     return {"accuracy": hits / count,
@@ -307,12 +324,13 @@ def _entry(rows: list[dict]) -> dict:
 
 def _plan_job(cfg: RunConfig, corpus: Corpus, weights) -> tuple[dict, list[str]]:
     """One (seed, variant) job of _run_plan, as a pool worker runs it, on
-    one BLAS thread: train the variant, then score text-to-image from the
-    features its final eval encoded, once per reranking weight w.  w = 0.0
-    is the plain score (reranking at w = 0 moves nothing), which the final
-    eval already holds.  -> ({w: report row}, progress lines)."""
+    one thread (BLAS and ranking; the pool has a worker per CPU): train
+    the variant, then score text-to-image from the features its final
+    eval encoded, once per reranking weight w.  w = 0.0 is the plain
+    score (reranking at w = 0 moves nothing), which the final eval
+    already holds.  -> ({w: report row}, progress lines)."""
     lines: list[str] = []
-    with _one_blas_thread():
+    with one_thread():
         result = train(cfg, corpus, log=lines.append)
         plain = next(r for r in result.final_metrics
                      if r["direction"] == "t2i" and not r["refined"])

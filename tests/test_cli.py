@@ -262,14 +262,15 @@ def test_gradcheck_command(capsys):
 
 
 def test_fingerprint_command(capsys, monkeypatch):
-    assert main(["fingerprint", "--steps", "2"]) == 0
+    monkeypatch.setattr(refalign.cli, "FINGERPRINT_STEPS", 2)
+    assert main(["fingerprint"]) == 0
     first = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in first] == [
         "Baseline", "A", "C", "test", "t2i", "t2i", "t2i", "i2t"]
-    assert main(["fingerprint", "--steps", "2"]) == 0
+    assert main(["fingerprint"]) == 0
     assert capsys.readouterr().out.splitlines() == first
 
-    # one ulp on one parameter of the second model built, variant A's
+    # one ulp on one parameter of the second run started, variant A's
     built = []
 
     def nudged(*args):
@@ -280,8 +281,8 @@ def test_fingerprint_command(capsys, monkeypatch):
             p.flat[0] = np.nextafter(p.flat[0], np.inf)
         return model
 
-    monkeypatch.setattr(refalign.cli, "model_for_corpus", nudged)
-    assert main(["fingerprint", "--steps", "2"]) == 0
+    monkeypatch.setattr(refalign.train, "model_for_corpus", nudged)
+    assert main(["fingerprint"]) == 0
     changed = capsys.readouterr().out.splitlines()
     assert [a == b for a, b in zip(first, changed)] == [True, False] + [True] * 6
 

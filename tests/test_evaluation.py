@@ -5,7 +5,6 @@ sorted() so they share no code with the library; sums go through np.sum
 so both sides reduce in the same order and the comparison can demand
 exact equality.
 """
-import contextlib
 import sys
 import threading
 
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from refalign import evaluation, refinement
-from refalign import tensor as T
 from refalign.config import RunConfig
 from refalign.data import CorpusConfig, derive_rng, generate_corpus
 from refalign.evaluation import (ENCODE_CHUNK, RANK_BLOCK, ap_at_n,
@@ -21,7 +19,6 @@ from refalign.evaluation import (ENCODE_CHUNK, RANK_BLOCK, ap_at_n,
                                  rank_at_k, ranking, run_retrieval,
                                  score_split)
 from refalign.model import EncoderConfig, model_for_corpus
-from refalign.train import masked_eval
 
 
 def _oracle_order(scores):
@@ -172,6 +169,29 @@ def test_ranking_leaves_no_thread_behind():
     assert threading.active_count() == before
 
 
+def test_ranking_is_inline_inside_one_thread(monkeypatch):
+    # ablation jobs already run one process per CPU, so they rank inline
+    scores = np.round(derive_rng(38, 98).normal(size=(3 * RANK_BLOCK, 20)), 1)
+    expect = np.argsort(-scores, axis=1, kind="stable")
+    pools = []
+    pool = evaluation.ThreadPoolExecutor
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor",
+                        lambda n: pools.append(n) or pool(n))
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    with refinement.one_thread():
+        with refinement.one_thread():
+            pass
+        assert np.array_equal(ranking(scores), expect)
+        with pytest.raises(ValueError, match="query row 0 "):
+            with refinement.one_thread():
+                ranking(np.full((2 * RANK_BLOCK, 3), np.nan))
+        assert np.array_equal(ranking(scores), expect)
+    assert pools == []
+    # the state before the outer block comes back on exit, also after a raise
+    assert np.array_equal(ranking(scores), expect)
+    assert pools == [2]
+
+
 def test_recall_is_monotone_in_k():
     rng = derive_rng(32, 98)
     for _ in range(10):
@@ -301,17 +321,6 @@ def test_encode_split_chunks_match_one_batch():
     assert np.array_equal(text, whole_text)
     assert np.array_equal(image, whole_image)
     np.testing.assert_array_equal(labels, [p.identity_id for p in pairs])
-
-
-def test_eval_passes_are_bitwise_equal_without_inference(monkeypatch):
-    # T.inference() only stops graph recording; every value stays the same
-    model, corpus = _micro_setup()
-    features = encode_split(model, corpus, "test")
-    masked = masked_eval(model, corpus, split="train", ratio=0.5, seed=0)
-    monkeypatch.setattr(T, "inference", contextlib.nullcontext)
-    for a, b in zip(features, encode_split(model, corpus, "test")):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert masked_eval(model, corpus, split="train", ratio=0.5, seed=0) == masked
 
 
 def test_score_split_matches_per_metric_functions():

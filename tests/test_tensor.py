@@ -214,41 +214,6 @@ def test_graph_evaluation_deterministic():
     assert run() == run()
 
 
-def test_inference_records_no_graph():
-    w = T.parameter(_rng(8).normal(size=(3, 3)))
-    x = T.Tensor(_rng(9).normal(size=(2, 3)))
-    with T.inference():
-        y = T.tanh(T.matmul(x, w))
-        # the finiteness checks still run
-        with pytest.raises(T.NumericsError, match="log"):
-            T.log(T.scale(y, 0.0))
-    outside = T.tanh(T.matmul(x, w))
-    assert y.requires_grad and y._parents == () and y._vjps == ()
-    assert y.data.tobytes() == outside.data.tobytes()
-    assert len(outside._parents) == 1
-    # backward from a tensor built inside, or through one, is refused
-    with pytest.raises(T.GraphError, match="inference"):
-        T.backward(T.sum_all(y), wrt=[w])
-    with pytest.raises(T.GraphError, match="inference"):
-        T.backward(T.sum_all(T.mul(y, outside)), wrt=[w])
-
-
-def test_inference_restores_graph_building():
-    w = T.parameter(np.ones((2, 2)))
-    with pytest.raises(RuntimeError, match="inside"):
-        with T.inference():
-            raise RuntimeError("inside")
-    assert len(T.scale(w, 2.0)._parents) == 1
-    with T.inference():
-        with T.inference():
-            pass
-        # the inner block restores the outer one's state, not graph building
-        assert T.scale(w, 2.0)._parents == ()
-    assert len(T.scale(w, 2.0)._parents) == 1
-    np.testing.assert_array_equal(T.backward(T.sum_all(T.scale(w, 2.0)), wrt=[w])[w],
-                                  np.full((2, 2), 2.0))
-
-
 # ---------------------------------------------------------------- optimizer
 
 def test_adam_zero_gradient_leaves_parameters():

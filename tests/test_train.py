@@ -16,7 +16,7 @@ from refalign.data import CorpusConfig, generate_corpus, sample_batch
 from refalign.encoders import EncoderConfig
 from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
-from refalign.tensor import Adam, ScheduleConfig
+from refalign.tensor import Adam, NumericsError, ScheduleConfig
 import refalign.train
 from refalign import refinement
 from refalign.train import (METRIC_COLUMNS, REPORT_KEYS, ablate, format_ablation_table,
@@ -443,6 +443,20 @@ def test_ablation_report_is_replaced_atomically(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_ablation_report(report, str(fresh))
     assert list(fresh.iterdir()) == []
+
+
+def test_train_names_the_step_and_epoch_of_a_numerics_error(tmp_path, monkeypatch):
+    step_once = refalign.train.train_step
+
+    def failing(model, optimizer, batch, cfg, schedule, step):
+        if step == 5:
+            raise NumericsError("log: non-finite result")
+        return step_once(model, optimizer, batch, cfg, schedule, step)
+
+    monkeypatch.setattr(refalign.train, "train_step", failing)
+    with pytest.raises(RuntimeError,
+                       match=r"training aborted at step 5 \(epoch 2\): log: non-finite"):
+        train(_cfg(tmp_path))
 
 
 def test_ablation_job_failure_raises_with_its_run_id(tmp_path):
