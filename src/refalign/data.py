@@ -346,7 +346,8 @@ def load_arrays(path: str, magic: bytes, version: int,
     cut file fails naming the header, the manifest or the array it ends
     in.  A manifest that is not a JSON object with an `arrays` list, or
     an entry that is not an object with a string name, an integer offset
-    and an integer-list shape, fails as a bad manifest."""
+    and a non-negative integer-list shape, fails as a bad manifest; so
+    do arrays that do not lie back to back to the file's end."""
     with open(path, "rb") as f:
         head = f.read(16)
         if len(head) < 16:
@@ -366,19 +367,26 @@ def load_arrays(path: str, magic: bytes, version: int,
         if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
             raise ValueError(f"{what}: bad manifest")
         arrays: dict[str, np.ndarray] = {}
+        end = 0
         for entry in header.pop("arrays"):
             if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                     and isinstance(entry.get("offset"), int)
                     and isinstance(entry.get("shape"), list)
-                    and all(isinstance(n, int) for n in entry["shape"])):
+                    and all(isinstance(n, int) and n >= 0 for n in entry["shape"])):
                 raise ValueError(f"{what}: bad manifest")
+            if entry["offset"] != end:
+                raise ValueError(f"{what}: array {entry['name']!r} at offset "
+                                 f"{entry['offset']}, not {end}")
             shape = tuple(entry["shape"])
             count = math.prod(shape)
-            f.seek(16 + mlen + entry["offset"])
             arr = np.fromfile(f, dtype="<f8", count=count)
             if arr.size != count:
                 raise ValueError(f"{what}: truncated in array {entry['name']!r}")
             arrays[entry["name"]] = arr.reshape(shape)
+            end += 8 * count
+        extra = os.fstat(f.fileno()).st_size - (16 + mlen + end)
+        if extra:
+            raise ValueError(f"{what}: {extra} bytes past the last array")
     return header, arrays
 
 
@@ -404,8 +412,9 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 def load_corpus(path: str) -> Corpus:
     """Read a save_corpus file; a cut file fails naming the header, the
-    manifest or the array it ends in, a missing array by its name, and a
-    header config without exactly CorpusConfig's fields by those fields."""
+    manifest or the array it ends in, a missing array or a `<field>_len`
+    that does not split its values by name, and a header config without
+    exactly CorpusConfig's fields by those fields."""
     header, arrays = load_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, "corpus file")
     exact_fields(CorpusConfig, header.get("config"), "corpus")
     for name in _CORPUS_ARRAYS:
@@ -418,8 +427,11 @@ def load_corpus(path: str) -> Corpus:
         ragged = []
         for name in _RAGGED:
             values = arrays[f"{split}.{name}"].astype(np.int64)
-            ends = np.cumsum(arrays[f"{split}.{name}_len"].astype(np.int64))
-            ragged.append(np.split(values, ends[:-1]))
+            lengths = arrays[f"{split}.{name}_len"].astype(np.int64)
+            if lengths.sum() != values.size or np.any(lengths < 0):
+                raise ValueError(f"corpus file: {split}.{name}_len does not split "
+                                 f"{values.size} values")
+            ragged.append(np.split(values, np.cumsum(lengths)[:-1]))
         idents = arrays[f"{split}.identity"].astype(np.int64).tolist()
         splits.append([Pair(ident, image, tokens, tuple(dropped.tolist()), tuple(swapped.tolist()))
                        for ident, image, tokens, dropped, swapped

@@ -147,21 +147,17 @@ def _check_attention_core(rng):
         lambda: T.mean_all(scaled_dot_product_attention(q, k, v, 2, mask)), [q, k, v])
 
 
-def _loss_cfg():
-    return LossConfig()
-
-
 def _check_contrastive(rng):
     sp = T.parameter(np.tanh(rng.normal(size=4)))
     sn = T.parameter(np.tanh(rng.normal(size=5)))
-    cfg = _loss_cfg()
+    cfg = LossConfig()
     return finite_difference_check(lambda: contrastive_loss(sp, sn, cfg), [sp, sn])
 
 
 def _check_align_loss(rng):
     t, i = _p(rng, 4, 6), _p(rng, 4, 6)
     labels = rng.integers(0, 3, size=4)
-    cfg = _loss_cfg()
+    cfg = LossConfig()
     return finite_difference_check(
         lambda: align_loss(T.l2_normalize(t), T.l2_normalize(i), labels, cfg), [t, i])
 
@@ -179,7 +175,7 @@ def _check_fuse_loss(rng):
     bank = _tiny_bank(rng)
     reps = _p(rng, 4, 6)
     labels = np.array([0, 0, 1, 2])
-    cfg = _loss_cfg()
+    cfg = LossConfig()
     return finite_difference_check(
         lambda: fuse_loss(bank, T.l2_normalize(reps), labels, cfg), [bank.ref])
 
@@ -188,7 +184,7 @@ def _check_guide_loss(rng):
     bank = _tiny_bank(rng)
     reps = _p(rng, 4, 6)
     labels = np.array([0, 1, 1, 2])
-    cfg = _loss_cfg()
+    cfg = LossConfig()
     return finite_difference_check(
         lambda: guide_loss(T.l2_normalize(reps), bank, labels, cfg), [reps])
 
@@ -214,7 +210,7 @@ def _check_total_loss(rng):
     reps_live = _p(rng, 8, 6)
     logits = _p(rng, 3, 5)
     targets = rng.integers(0, 5, size=3)
-    cfg = _loss_cfg()
+    cfg = LossConfig()
 
     def f():
         tg = T.l2_normalize(t)
@@ -238,7 +234,7 @@ def _check_total_loss_linearity(rng):
     bank = _tiny_bank(rng, ids=(0, 1))
     logits = _p(rng, 3, 5)
     targets = rng.integers(0, 5, size=3)
-    cfg = _loss_cfg()
+    cfg = LossConfig()
     leaves = [t, i, bank.ref, logits]
 
     def parts():
@@ -356,7 +352,7 @@ def run_checks(trials: int = 20, seed: int = 0, names=None,
 
 def stop_gradient_contracts(trials: int = 10, seed: int = 0) -> list[CheckResult]:
     """Bitwise-zero gradient checks for the two detached losses."""
-    cfg = _loss_cfg()
+    cfg = LossConfig()
     worst_fuse = 0.0
     worst_guide = 0.0
     for t in range(trials):

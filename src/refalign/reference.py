@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MASK_ID, N_SPECIAL, STREAM_MASK, derive_rng
+from .data import MASK_ID, N_SPECIAL
 from .encoders import AttentionBlock, FeedForward, linear, linear_init
 from .tensor import Tensor
 
@@ -69,22 +69,19 @@ class MaskedText:
     targets: np.ndarray    # original ids at those positions
 
 
-def mask_tokens(tokens, ratio: float, rng) -> MaskedText:
+def mask_tokens(tokens, ratio: float, rng: np.random.Generator) -> MaskedText:
     """Replace round(ratio * maskable) tokens (at least one when the
     ratio is positive) with MASK.
 
     Only non-special tokens are maskable; BOS, EOS, and PAD never are.
     Ratio 0 and a sequence with no maskable tokens (a fully dropped text
-    is legal) both come back unchanged with empty positions.  rng may be
-    a Generator or a plain int seed.
+    is legal) both come back unchanged with empty positions.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError(f"mask_tokens: need a non-empty 1-d sequence, got shape {tokens.shape}")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"mask_tokens: ratio {ratio} outside [0, 1]")
-    if not isinstance(rng, np.random.Generator):
-        rng = derive_rng(int(rng), STREAM_MASK)
     maskable = np.flatnonzero(tokens >= N_SPECIAL)
     if ratio == 0.0 or maskable.size == 0:
         empty = np.empty(0, dtype=np.intp)

@@ -5,54 +5,12 @@ the bank's rows, fused with the base similarity at weight w.  With the
 bank's reduced QR, B = QR, Q has orthonormal columns, so (Bx)·(By) =
 (Rx)·(Ry) and |Bx| = |Rx|: the cosine is taken between Rx and Ry, which
 are min(m, d) wide instead of m.  Pure numpy: nothing here trains.
-
-The reference-space products run on one BLAS thread.  They are narrow
-(inner size d or less); on a loaded 2-vCPU host each hand-off to a BLAS
-worker waited 8-14 ms, against about 1 ms for a whole 1000-row product on
-one thread.  Their last bits then no longer follow the thread count.
-one_thread() also makes evaluation.ranking rank inline; each ablation
-job, one process per CPU, runs whole inside it.
+Like every product in refalign, these run on the one BLAS thread that
+importing the package sets.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-from contextlib import contextmanager, suppress
-
 import numpy as np
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count; None if there is none."""
-    with suppress(OSError, StopIteration):
-        with open("/proc/self/maps") as f:
-            lib = ctypes.CDLL(next(line.split()[-1] for line in f if "openblas" in line))
-        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
-                     "openblas_%s_num_threads"):
-            with suppress(AttributeError):
-                return getattr(lib, name % "get"), getattr(lib, name % "set")
-    return None
-
-
-# True inside one_thread(), where evaluation.ranking ranks its blocks inline
-single_threaded = False
-
-
-@contextmanager
-def one_thread():
-    """Run the block on one thread: the loaded OpenBLAS, and ranking's
-    block pool.  The previous state comes back on exit, so blocks nest."""
-    global single_threaded
-    get, set_ = _openblas_threads() or (lambda: None, lambda n: None)
-    before, saved = get(), single_threaded
-    set_(1)
-    single_threaded = True
-    try:
-        yield
-    finally:
-        set_(before)
-        single_threaded = saved
 
 
 def cosine_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,9 +37,8 @@ def reference_similarity(query_feats: np.ndarray, gallery_feats: np.ndarray,
     q, g, bank = (np.asarray(a, dtype=np.float64) for a in (query_feats, gallery_feats, bank))
     if not q.ndim == g.ndim == bank.ndim == 2 or not q.shape[1] == g.shape[1] == bank.shape[1]:
         raise ValueError(f"reference: shapes {q.shape} / {g.shape} / {bank.shape} do not pair")
-    with one_thread():
-        r = np.linalg.qr(bank, mode="r")
-        return cosine_scores(q @ r.T, g @ r.T)
+    r = np.linalg.qr(bank, mode="r")
+    return cosine_scores(q @ r.T, g @ r.T)
 
 
 def _check_weight(weight: float) -> None:

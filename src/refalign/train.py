@@ -3,7 +3,8 @@
 Every run is a pure function of (config, seed): batch composition, mask
 placement, and initialization all derive from the run seed and the
 global step, so reruns and checkpoint resumes retrace the same
-trajectory bit for bit.
+trajectory bit for bit.  Ablation jobs run on spawned workers, one per
+usable CPU, each on one BLAS thread and ranking inline.
 """
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ from .config import (RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict,
                      config_from_dict)
 from .data import (Corpus, PairBatch, STREAM_MASK, derive_rng, generate_corpus,
                    sample_batch)
-from .evaluation import ENCODE_CHUNK, encode_split, score_split, usable_cpus
+from .evaluation import ENCODE_CHUNK, encode_split, rank_inline, score_split, usable_cpus
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
 from .reference import mask_tokens
-from .refinement import one_thread
 from .tensor import Adam, NumericsError, ScheduleConfig, lr_at
 
 REPORT_KEYS = ("R@1", "R@5", "R@10", "mAP", "AP@N")
@@ -323,22 +323,20 @@ def _entry(rows: list[dict]) -> dict:
 
 
 def _plan_job(cfg: RunConfig, corpus: Corpus, weights) -> tuple[dict, list[str]]:
-    """One (seed, variant) job of _run_plan, as a pool worker runs it, on
-    one thread (BLAS and ranking; the pool has a worker per CPU): train
-    the variant, then score text-to-image from the features its final
-    eval encoded, once per reranking weight w.  w = 0.0 is the plain
-    score (reranking at w = 0 moves nothing), which the final eval
+    """One (seed, variant) job of _run_plan, as a pool worker runs it:
+    train the variant, then score text-to-image from the features its
+    final eval encoded, once per reranking weight w.  w = 0.0 is the
+    plain score (reranking at w = 0 moves nothing), which the final eval
     already holds.  -> ({w: report row}, progress lines)."""
     lines: list[str] = []
-    with one_thread():
-        result = train(cfg, corpus, log=lines.append)
-        plain = next(r for r in result.final_metrics
-                     if r["direction"] == "t2i" and not r["refined"])
-        scores = {0.0: _report_columns(plain)}
-        for w in weights:
-            if w not in scores:
-                scores[w] = _report_columns(score_split(
-                    *result.features, result.model.bank.matrix(), "t2i", True, w).metrics)
+    result = train(cfg, corpus, log=lines.append)
+    plain = next(r for r in result.final_metrics
+                 if r["direction"] == "t2i" and not r["refined"])
+    scores = {0.0: _report_columns(plain)}
+    for w in weights:
+        if w not in scores:
+            scores[w] = _report_columns(score_split(
+                *result.features, result.model.bank.matrix(), "t2i", True, w).metrics)
     return scores, lines
 
 
@@ -349,9 +347,9 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     no seeds, bad weights and a corpus that does not match base.corpus
     are refused before any worker starts.
 
-    Each (seed, variant) job runs in a spawned worker process, on one BLAS
-    thread, with up to one worker per usable CPU; the longest jobs go
-    first.  A job's log lines, in epoch order, are logged when the job
+    Each (seed, variant) job runs in a spawned worker process, with up
+    to one worker per usable CPU, each ranking inline (rank_inline); the
+    longest jobs go first.  A job's log lines, in epoch order, are logged when the job
     finishes.  A failed job raises here, naming its run_id, and cancels
     the jobs not yet started.  Spawn re-imports the caller's main module,
     so a script that gets here must guard its entry point with
@@ -378,7 +376,8 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     jobs.sort(key=lambda job: (not job[1].reconstructs, not job[1].guided))
     rows: dict = {}
     pool = ProcessPoolExecutor(min(len(jobs), usable_cpus()),
-                               mp_context=multiprocessing.get_context("spawn"))
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=rank_inline)
     try:
         futures = {pool.submit(_plan_job, cfg, corpus, ws): (k, cfg) for k, cfg, ws in jobs}
         for future in as_completed(futures):
@@ -418,8 +417,8 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     and each distinct weight is scored once from its features.
 
     The trainings run on up to one spawned worker process per usable
-    CPU, each on one BLAS thread, and each training's log arrives when it
-    finishes (see _run_plan).  Spawn re-imports the main module, so a
+    CPU, and each training's log arrives when it finishes (see
+    _run_plan).  Spawn re-imports the main module, so a
     script that calls this must guard its entry point with
     `if __name__ == "__main__":`.
     """

@@ -316,6 +316,48 @@ def test_load_names_a_bad_manifest(tmp_path):
         load_corpus(str(path))
 
 
+def test_load_refuses_arrays_that_do_not_lie_back_to_back(tmp_path):
+    # save_arrays writes each array where the one before it ends and the
+    # file ends with the last one; any other layout misreads some array
+    path = str(tmp_path / "two.bin")
+    data.save_arrays(path, b"TESTARR1", 1, {},
+                     {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([10.0, 11.0, 12.0])})
+    blob = open(path, "rb").read()
+    b_entry = b'"name":"b","offset":24,"shape":[3]'
+    assert data.load_arrays(path, b"TESTARR1", 1, "test file")[1]["b"].tolist() == [10, 11, 12]
+    for bad, error in ((blob.replace(b'"offset":24', b'"offset":16'),
+                        r"array 'b' at offset 16, not 24"),
+                       (blob.replace(b'"offset":0', b'"offset":8'),
+                        r"array 'a' at offset 8, not 0"),
+                       (blob.replace(b_entry, b_entry.replace(b"[3]", b"[2]")),
+                        r"8 bytes past the last array"),
+                       (blob + b"\0", r"1 bytes past the last array")):
+        assert bad != blob
+        with open(path, "wb") as f:
+            f.write(bad)
+        with pytest.raises(ValueError, match=rf"^test file: {error}$"):
+            data.load_arrays(path, b"TESTARR1", 1, "test file")
+
+
+def test_load_refuses_lengths_that_do_not_split_their_values(tmp_path):
+    path = str(tmp_path / "corpus.bin")
+    save_corpus(generate_corpus(_cfg()), path)
+    header, arrays = data.load_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION,
+                                      "corpus file")
+    count = arrays["train.tokens"].size
+    lengths = arrays["train.tokens_len"]
+    one_more, one_less, negative = lengths.copy(), lengths.copy(), lengths.copy()
+    one_more[0] += 1
+    one_less[-1] -= 1
+    negative[:2] = -1, lengths[0] + lengths[1] + 1     # the total still fits
+    for bad in (one_more, one_less, negative):
+        data.save_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION, header,
+                         {**arrays, "train.tokens_len": bad})
+        with pytest.raises(ValueError, match=rf"^corpus file: train\.tokens_len does "
+                                             rf"not split {count} values$"):
+            load_corpus(path)
+
+
 def test_load_refuses_a_header_config_without_exactly_its_fields(tmp_path):
     # a header that had lost p_drop and seed once loaded with their
     # defaults, and the corpus seed keys every batch a run draws

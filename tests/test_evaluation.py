@@ -169,8 +169,9 @@ def test_ranking_leaves_no_thread_behind():
     assert threading.active_count() == before
 
 
-def test_ranking_is_inline_inside_one_thread(monkeypatch):
-    # ablation jobs already run one process per CPU, so they rank inline
+def test_ranking_is_inline_after_rank_inline(monkeypatch):
+    # ablation workers already run one process per CPU, so each switches
+    # ranking to inline once, at start, for good
     scores = np.round(derive_rng(38, 98).normal(size=(3 * RANK_BLOCK, 20)), 1)
     expect = np.argsort(-scores, axis=1, kind="stable")
     pools = []
@@ -178,16 +179,14 @@ def test_ranking_is_inline_inside_one_thread(monkeypatch):
     monkeypatch.setattr(evaluation, "ThreadPoolExecutor",
                         lambda n: pools.append(n) or pool(n))
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
-    with refinement.one_thread():
-        with refinement.one_thread():
-            pass
-        assert np.array_equal(ranking(scores), expect)
-        with pytest.raises(ValueError, match="query row 0 "):
-            with refinement.one_thread():
-                ranking(np.full((2 * RANK_BLOCK, 3), np.nan))
-        assert np.array_equal(ranking(scores), expect)
-    assert pools == []
-    # the state before the outer block comes back on exit, also after a raise
+    # this process is not a worker: restored to off when the test ends
+    monkeypatch.setattr(evaluation, "_rank_inline", False)
+    assert np.array_equal(ranking(scores), expect)
+    assert pools == [2]
+    evaluation.rank_inline()
+    assert np.array_equal(ranking(scores), expect)
+    with pytest.raises(ValueError, match="query row 0 "):
+        ranking(np.full((2 * RANK_BLOCK, 3), np.nan))
     assert np.array_equal(ranking(scores), expect)
     assert pools == [2]
 

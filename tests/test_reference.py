@@ -3,7 +3,7 @@ import pytest
 
 from refalign import tensor as T
 from refalign.data import (BOS_ID, EOS_ID, MASK_ID, N_SPECIAL, PAD_ID,
-                           derive_rng)
+                           STREAM_MASK, derive_rng)
 from refalign.encoders import linear, scaled_dot_product_attention
 from refalign.losses import LossConfig, fuse_loss, guide_loss, rec_loss
 from refalign.reference import (LocalReconstructor, ReferenceBank,
@@ -139,10 +139,11 @@ def test_mask_nothing_maskable():
 def test_mask_seeding():
     tokens = np.array([BOS_ID] + [N_SPECIAL + i % 5 for i in range(20)] + [EOS_ID],
                       dtype=np.int64)
-    a = mask_tokens(tokens, 0.3, 123)
-    b = mask_tokens(tokens, 0.3, 123)
+    a = mask_tokens(tokens, 0.3, derive_rng(123, STREAM_MASK))
+    b = mask_tokens(tokens, 0.3, derive_rng(123, STREAM_MASK))
     np.testing.assert_array_equal(a.positions, b.positions)
-    seen = {mask_tokens(tokens, 0.3, s).positions.tobytes() for s in range(20)}
+    seen = {mask_tokens(tokens, 0.3, derive_rng(s, STREAM_MASK)).positions.tobytes()
+            for s in range(20)}
     assert len(seen) > 1
 
 

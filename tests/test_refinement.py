@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from refalign import refinement
+import refalign
 from refalign.data import derive_rng
 from refalign.evaluation import ranking
 from refalign.refinement import (cosine_scores, fuse_scores,
@@ -49,34 +54,18 @@ def test_r_factor_equals_the_bank_projection():
                                        rtol=0, atol=1e-13, err_msg=f"{name}, std {std}")
 
 
-def test_reference_products_run_on_one_blas_thread(monkeypatch):
-    threads = refinement._openblas_threads()
-    if threads is None:
+def test_importing_refalign_sets_one_blas_thread():
+    # OpenBLAS reads its variables only when it loads, and numpy loads it
+    # before refalign; so the count is set at import, for every product
+    # of the process (encoders, base cosine, reranker) and every worker
+    if refalign._openblas_threads() is None:
         pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
-    get_threads = threads[0]
-    before = get_threads()
-    seen = []
-    qr, cosine = np.linalg.qr, refinement.cosine_scores
-    q, g, bank = _unit_rows(7, 16, seed=3), _unit_rows(9, 16, seed=4), _orthonormal(16)
-
-    def spy(fn, name):
-        def call(*args, **kwargs):
-            seen.append((name, get_threads()))
-            return fn(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(np.linalg, "qr", spy(qr, "qr"))
-    monkeypatch.setattr(refinement, "cosine_scores", spy(cosine, "cosine"))
-    reference_similarity(q, g, bank)
-    assert seen == [("qr", 1), ("cosine", 1)] and get_threads() == before
-    # the count comes back when the call raises, too: on a shape error and
-    # on a zero projection, which the cosine finds inside the one-thread block
-    with pytest.raises(ValueError, match="do not pair"):
-        reference_similarity(q, g, np.ones((3, 5)))
-    assert get_threads() == before
-    with pytest.raises(ValueError, match="row 0"):
-        reference_similarity(np.eye(16)[:2], g, np.eye(16)[2:])
-    assert seen[-1] == ("cosine", 1) and get_threads() == before
+    probe = "import numpy, refalign; print(refalign._openblas_threads()[0]())"
+    src = str(Path(refalign.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+                                          "PYTHONPATH": src})
+    assert out.stdout == "1\n"
 
 
 def test_fusion_arithmetic():

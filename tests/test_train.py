@@ -18,7 +18,7 @@ from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
 from refalign.tensor import Adam, NumericsError, ScheduleConfig
 import refalign.train
-from refalign import refinement
+from refalign import evaluation
 from refalign.train import (METRIC_COLUMNS, REPORT_KEYS, ablate, format_ablation_table,
                             masked_eval, sweep_w, train, train_step,
                             write_ablation_report)
@@ -471,41 +471,18 @@ def test_ablation_job_failure_raises_with_its_run_id(tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def test_plan_job_runs_on_one_blas_thread(tmp_path, monkeypatch):
-    threads = refinement._openblas_threads()
-    if threads is None:
-        pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
-    get_threads, set_threads = threads
-    seen = []
-    row = {"direction": "t2i", "refined": False, **dict.fromkeys(REPORT_KEYS, 1.0)}
+def test_ablation_workers_rank_inline(tmp_path, monkeypatch):
+    # the pool has a worker per CPU, so each worker's ranking runs inline
+    pools = []
 
-    def spy_train(cfg, corpus, log):
-        seen.append(("train", get_threads()))
-        log(f"[{cfg.run_id}] spied")
-        if cfg.seed == 1:
-            raise ValueError("spy")
-        return SimpleNamespace(final_metrics=[row], features=(),
-                               model=SimpleNamespace(bank=SimpleNamespace(matrix=lambda: None)))
+    def no_pool(workers, **kw):
+        pools.append(kw)
+        raise RuntimeError("no pool")
 
-    def spy_score(*args):
-        seen.append(("score", get_threads()))
-        return SimpleNamespace(metrics=dict.fromkeys(REPORT_KEYS, 2.0))
-
-    monkeypatch.setattr(refalign.train, "train", spy_train)
-    monkeypatch.setattr(refalign.train, "score_split", spy_score)
-    before = get_threads()
-    set_threads(2)          # so that one thread is a change even on one CPU
-    try:
-        cfg = _cfg(tmp_path, run_id="one")
-        assert refalign.train._plan_job(cfg, None, (0.0, 0.5)) == (
-            {0.0: dict.fromkeys(REPORT_KEYS, 1.0), 0.5: dict.fromkeys(REPORT_KEYS, 2.0)},
-            ["[one] spied"])
-        assert seen == [("train", 1), ("score", 1)] and get_threads() == 2
-        with pytest.raises(ValueError, match="spy"):
-            refalign.train._plan_job(cfg.with_seed(1), None, ())
-        assert seen[2:] == [("train", 1)] and get_threads() == 2
-    finally:
-        set_threads(before)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(RuntimeError, match="no pool"):
+        sweep_w(_cfg(tmp_path, run_id="inline"), seeds=(0,))
+    assert pools[0]["initializer"] is evaluation.rank_inline
 
 
 def test_ablation_refuses_bad_inputs_before_training(tmp_path, monkeypatch):
