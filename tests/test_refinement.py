@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import refalign
+from refalign import refinement
 from refalign.data import derive_rng
 from refalign.evaluation import ranking
 from refalign.refinement import (cosine_scores, fuse_scores,
@@ -66,6 +67,35 @@ def test_importing_refalign_sets_one_blas_thread():
                          check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
                                           "PYTHONPATH": src})
     assert out.stdout == "1\n"
+
+
+def test_reference_products_run_on_one_blas_thread(monkeypatch):
+    # the count set at import holds through the products, and nothing on
+    # the way, raising or not, changes it
+    threads = refalign._openblas_threads()
+    if threads is None:
+        pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
+    get_threads = threads[0]
+    seen = []
+    qr, cosine = np.linalg.qr, refinement.cosine_scores
+    q, g, bank = _unit_rows(7, 16, seed=3), _unit_rows(9, 16, seed=4), _orthonormal(16)
+
+    def spy(fn, name):
+        def call(*args, **kwargs):
+            seen.append((name, get_threads()))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "qr", spy(qr, "qr"))
+    monkeypatch.setattr(refinement, "cosine_scores", spy(cosine, "cosine"))
+    reference_similarity(q, g, bank)
+    assert seen == [("qr", 1), ("cosine", 1)] and get_threads() == 1
+    with pytest.raises(ValueError, match="do not pair"):
+        reference_similarity(q, g, np.ones((3, 5)))
+    assert get_threads() == 1
+    with pytest.raises(ValueError, match="row 0"):
+        reference_similarity(np.eye(16)[:2], g, np.eye(16)[2:])
+    assert seen[-1] == ("cosine", 1) and get_threads() == 1
 
 
 def test_fusion_arithmetic():

@@ -471,6 +471,40 @@ def test_ablation_job_failure_raises_with_its_run_id(tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def test_plan_job_runs_on_one_blas_thread(tmp_path, monkeypatch):
+    # a job trains and scores on the one BLAS thread set at import; a
+    # spawned worker re-imports refalign, so it sets the same count
+    threads = refalign._openblas_threads()
+    if threads is None:
+        pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
+    get_threads = threads[0]
+    seen = []
+    row = {"direction": "t2i", "refined": False, **dict.fromkeys(REPORT_KEYS, 1.0)}
+
+    def spy_train(cfg, corpus, log):
+        seen.append(("train", get_threads()))
+        log(f"[{cfg.run_id}] spied")
+        if cfg.seed == 1:
+            raise ValueError("spy")
+        return SimpleNamespace(final_metrics=[row], features=(),
+                               model=SimpleNamespace(bank=SimpleNamespace(matrix=lambda: None)))
+
+    def spy_score(*args):
+        seen.append(("score", get_threads()))
+        return SimpleNamespace(metrics=dict.fromkeys(REPORT_KEYS, 2.0))
+
+    monkeypatch.setattr(refalign.train, "train", spy_train)
+    monkeypatch.setattr(refalign.train, "score_split", spy_score)
+    cfg = _cfg(tmp_path, run_id="one")
+    assert refalign.train._plan_job(cfg, None, (0.0, 0.5)) == (
+        {0.0: dict.fromkeys(REPORT_KEYS, 1.0), 0.5: dict.fromkeys(REPORT_KEYS, 2.0)},
+        ["[one] spied"])
+    assert seen == [("train", 1), ("score", 1)] and get_threads() == 1
+    with pytest.raises(ValueError, match="spy"):
+        refalign.train._plan_job(cfg.with_seed(1), None, ())
+    assert seen[2:] == [("train", 1)] and get_threads() == 1
+
+
 def test_ablation_workers_rank_inline(tmp_path, monkeypatch):
     # the pool has a worker per CPU, so each worker's ranking runs inline
     pools = []
