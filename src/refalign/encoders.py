@@ -115,8 +115,7 @@ class AttentionBlock:
     attention weights unchanged, so such a bias never gets a gradient.
     """
 
-    def __init__(self, d: int, n_heads: int, rng: np.random.Generator,
-                 name: str = "block"):
+    def __init__(self, d: int, n_heads: int, rng: np.random.Generator, name: str):
         self.n_heads = n_heads
         P = T.parameter
         self.ln1_g = P(np.ones(d), f"{name}.ln1.g")
@@ -215,7 +214,7 @@ class ImageEncoder:
 
     def encode_batch(self, feats) -> Tensor:
         """-> (B, d) unit rows."""
-        x = feats if isinstance(feats, Tensor) else Tensor(feats)
+        x = Tensor(feats)
         if x.ndim != 2 or x.shape[1] != self.cfg.image_input_dim:
             raise T.ShapeError(f"image encoder: expected (B, {self.cfg.image_input_dim}), got {x.shape}")
         h = T.tanh(linear(x, self.w1, self.b1))

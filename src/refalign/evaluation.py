@@ -5,10 +5,10 @@ which keeps every number bit-reproducible.  `ranking` gets that order
 from an unstable vectorised argsort per block of RANK_BLOCK query rows,
 then re-orders only the tied runs, so it returns exactly what a stable
 sort would at the unstable sort's speed; the blocks run on one thread
-per usable CPU, or inline after rank_inline(), which every ablation
-worker (one per CPU) calls at start.  Ties are not rare: duplicate
-captions encode to identical text features, so every i2t row holds tied
-gallery scores.  R@K and AP@N are percentages; mAP lives in [0, 1].
+per usable CPU, or inline when there is one block or one CPU.  Ties are
+not rare: duplicate captions encode to identical text features, so every
+i2t row holds tied gallery scores.  R@K and AP@N are percentages; mAP
+lives in [0, 1].
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ ENCODE_CHUNK = 64
 # query rows per argsort in ranking; each ranking thread holds one block's
 # temporaries at a time, so small blocks keep the threads' peak memory low
 RANK_BLOCK = 128
-_rank_inline = False     # set for good by rank_inline()
 
 
 def usable_cpus() -> int:
@@ -36,13 +35,6 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def rank_inline() -> None:
-    """Rank blocks inline for the rest of this process: the initializer
-    of ablation workers, which already run one per usable CPU."""
-    global _rank_inline
-    _rank_inline = True
 
 
 def _rank_block(scores: np.ndarray, order: np.ndarray, lo: int) -> None:
@@ -88,17 +80,17 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     order, exactly as np.argsort(-scores, axis=1, kind="stable") orders
     them.
 
-    Blocks of RANK_BLOCK rows are ranked by _rank_block, on one thread per
-    usable CPU when there is more than one block, and inline after
-    rank_inline().  Non-finite scores are refused, naming the
-    first bad row, since the tie repair keys on == and NaN equals nothing.
+    Blocks of RANK_BLOCK rows are ranked by _rank_block on min(blocks,
+    usable CPUs) threads, or inline when that is one.  Non-finite scores
+    are refused, naming the first bad row, since the tie repair keys on
+    == and NaN equals nothing.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ValueError(f"ranking: need a non-empty score matrix, got shape {scores.shape}")
     order = np.empty(scores.shape, dtype=np.intp)
     starts = range(0, scores.shape[0], RANK_BLOCK)
-    threads = 1 if _rank_inline else min(len(starts), usable_cpus())
+    threads = min(len(starts), usable_cpus())
     if threads == 1:
         for lo in starts:
             _rank_block(scores, order, lo)

@@ -394,14 +394,7 @@ def take(a: Tensor, *index) -> Tensor:
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity forward, gradient barrier backward.  The forward value is
     the same buffer, so contracts about it are bitwise."""
-    t = object.__new__(Tensor)
-    t.data = a.data
-    t.requires_grad = False
-    t.name = None
-    t._op = "stop_gradient"
-    t._parents = ()
-    t._vjps = ()
-    return t
+    return Tensor._result("stop_gradient", a.data, (), ())
 
 
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
@@ -481,13 +474,25 @@ class Adam(object):
         return out
 
     def load_state_arrays(self, arrays) -> None:
-        """Every moment's shape is checked before any state is replaced."""
+        """The adam.* names must be those of state_arrays(), adam.t a 0-d
+        integer >= 0 and each moment its parameter's shape; all is checked
+        before any state is replaced."""
+        want = self.state_arrays().keys()
+        names = {key for key in arrays if key.startswith("adam.")}
+        if names != want:
+            raise ValueError(f"Adam: state {min(want - names)} is missing" if want - names
+                             else f"Adam: {min(names - want)} is not state of "
+                                  f"{len(self.params)} parameters")
+        t = np.asarray(arrays["adam.t"])
+        if t.shape != () or not (np.isfinite(t) and t >= 0 and t % 1 == 0):
+            raise ValueError(f"Adam: step count adam.t {t.tolist()!r} is not a "
+                             f"non-negative integer")
         ms = [arrays[f"adam.m.{i}"] for i in range(len(self.params))]
         vs = [arrays[f"adam.v.{i}"] for i in range(len(self.params))]
         for i, (p, m, v) in enumerate(zip(self.params, ms, vs)):
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ShapeError(f"Adam: state {i} shape mismatch with parameter {p.data.shape}")
-        self.t = int(arrays["adam.t"])
+        self.t = int(t)
         self._m = [m.astype(np.float64) for m in ms]
         self._v = [v.astype(np.float64) for v in vs]
 

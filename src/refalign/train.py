@@ -4,7 +4,7 @@ Every run is a pure function of (config, seed): batch composition, mask
 placement, and initialization all derive from the run seed and the
 global step, so reruns and checkpoint resumes retrace the same
 trajectory bit for bit.  Ablation jobs run on spawned workers, one per
-usable CPU, each on one BLAS thread and ranking inline.
+usable CPU, each on one BLAS thread.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .config import (RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict,
                      config_from_dict)
 from .data import (Corpus, PairBatch, STREAM_MASK, derive_rng, generate_corpus,
                    sample_batch)
-from .evaluation import ENCODE_CHUNK, encode_split, rank_inline, score_split, usable_cpus
+from .evaluation import ENCODE_CHUNK, encode_split, score_split, usable_cpus
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
 from .reference import mask_tokens
@@ -236,6 +236,9 @@ def train(cfg: RunConfig, corpus: Corpus | None = None,
         if step % cfg.steps_per_epoch != 0:
             raise ValueError(f"resume: step {step} is not an epoch boundary")
         _check_resume_config(meta, cfg)
+        if optimizer.t != step:
+            raise ValueError(f"resume: {resume_from} is at step {step} but its "
+                             f"Adam state is at step {optimizer.t}")
         if step == cfg.epochs * cfg.steps_per_epoch:
             raise ValueError(f"resume: {resume_from} is at step {step}, the end of "
                              f"the schedule; the run is finished")
@@ -347,12 +350,12 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     no seeds, bad weights and a corpus that does not match base.corpus
     are refused before any worker starts.
 
-    Each (seed, variant) job runs in a spawned worker process, with up
-    to one worker per usable CPU, each ranking inline (rank_inline); the
-    longest jobs go first.  A job's log lines, in epoch order, are logged when the job
-    finishes.  A failed job raises here, naming its run_id, and cancels
-    the jobs not yet started.  Spawn re-imports the caller's main module,
-    so a script that gets here must guard its entry point with
+    Each (seed, variant) job runs _plan_job in a spawned worker process,
+    with up to one worker per usable CPU; the longest jobs go first.  A
+    job's log lines, in epoch order, are logged when the job finishes.
+    A failed job raises here, naming its run_id, and cancels the jobs
+    not yet started.  Spawn re-imports the caller's main module, so a
+    script that gets here must guard its entry point with
     `if __name__ == "__main__":`."""
     seeds = [int(s) for s in seeds]
     weights = [w for ws in plan.values() for w in ws]
@@ -376,8 +379,7 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     jobs.sort(key=lambda job: (not job[1].reconstructs, not job[1].guided))
     rows: dict = {}
     pool = ProcessPoolExecutor(min(len(jobs), usable_cpus()),
-                               mp_context=multiprocessing.get_context("spawn"),
-                               initializer=rank_inline)
+                               mp_context=multiprocessing.get_context("spawn"))
     try:
         futures = {pool.submit(_plan_job, cfg, corpus, ws): (k, cfg) for k, cfg, ws in jobs}
         for future in as_completed(futures):
@@ -435,12 +437,12 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     }
 
 
-def write_ablation_report(report: dict, out_dir: str, name: str = "ablation") -> tuple[str, str]:
-    """<name>.json and <name>.csv, each through atomic_write, so a write
-    that fails leaves the previous file in place."""
+def write_ablation_report(report: dict, out_dir: str) -> tuple[str, str]:
+    """ablation.json and ablation.csv, both or neither through _write_texts,
+    so a write that fails leaves the previous pair in place."""
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, f"{name}.json")
-    csv_path = os.path.join(out_dir, f"{name}.csv")
+    json_path = os.path.join(out_dir, "ablation.json")
+    csv_path = os.path.join(out_dir, "ablation.csv")
     header = (["row", "setting"] + [f"{k} mean" for k in REPORT_KEYS]
               + [f"{k} std" for k in REPORT_KEYS])
     table = [[row, entry[key]] + [entry["mean"][k] for k in REPORT_KEYS]

@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import refalign
 import refalign.cli
 import refalign.train
 from refalign.cli import main
@@ -285,6 +290,20 @@ def test_fingerprint_command(capsys, monkeypatch):
     assert main(["fingerprint"]) == 0
     changed = capsys.readouterr().out.splitlines()
     assert [a == b for a, b in zip(first, changed)] == [True, False] + [True] * 6
+
+
+def test_fingerprint_ignores_the_blas_thread_setting():
+    # importing refalign sets one BLAS thread whatever the environment
+    # asks, so the full fingerprint is the same under any setting
+    if refalign._openblas_threads() is None:
+        pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
+    src = str(Path(refalign.__file__).resolve().parent.parent)
+    outs = [subprocess.run([sys.executable, "-m", "refalign.cli", "fingerprint"],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                "PYTHONPATH": src}).stdout.splitlines()
+            for threads in ("1", "2")]
+    assert len(outs[0]) == 8 and outs[0] == outs[1]
 
 
 def test_parser_rejections(tmp_path):

@@ -169,26 +169,24 @@ def test_ranking_leaves_no_thread_behind():
     assert threading.active_count() == before
 
 
-def test_ranking_is_inline_after_rank_inline(monkeypatch):
-    # ablation workers already run one process per CPU, so each switches
-    # ranking to inline once, at start, for good
+def test_ranking_threads_follow_blocks_and_cpus(monkeypatch):
+    # min(blocks, usable CPUs) threads, and inline when that is one: a
+    # pool costs more than one block's sort
     scores = np.round(derive_rng(38, 98).normal(size=(3 * RANK_BLOCK, 20)), 1)
-    expect = np.argsort(-scores, axis=1, kind="stable")
+    one = scores[:RANK_BLOCK // 2]
     pools = []
     pool = evaluation.ThreadPoolExecutor
     monkeypatch.setattr(evaluation, "ThreadPoolExecutor",
                         lambda n: pools.append(n) or pool(n))
-    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
-    # this process is not a worker: restored to off when the test ends
-    monkeypatch.setattr(evaluation, "_rank_inline", False)
-    assert np.array_equal(ranking(scores), expect)
-    assert pools == [2]
-    evaluation.rank_inline()
-    assert np.array_equal(ranking(scores), expect)
-    with pytest.raises(ValueError, match="query row 0 "):
-        ranking(np.full((2 * RANK_BLOCK, 3), np.nan))
-    assert np.array_equal(ranking(scores), expect)
-    assert pools == [2]
+    for cpus, matrix, opened in ((2, scores, [2]), (2, one, []), (1, scores, [])):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        pools.clear()
+        assert np.array_equal(ranking(matrix), np.argsort(-matrix, axis=1, kind="stable"))
+        assert pools == opened
+        bad = matrix.copy()
+        bad[-1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"query row {len(bad) - 1} "):
+            ranking(bad)
 
 
 def test_recall_is_monotone_in_k():

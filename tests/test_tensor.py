@@ -272,6 +272,32 @@ def test_adam_state_round_trip():
     assert other.t == 0 and not any(a.any() for a in other.state_arrays().values())
 
 
+_BAD_ADAM_STATE = {
+    "missing": ({"adam.m.0": None}, r"^Adam: state adam\.m\.0 is missing"),
+    "stray": ({"adam.m.999": np.ones(3)}, r"^Adam: adam\.m\.999 is not state of 1 parameters"),
+    **{f"t={t}": ({"adam.t": np.asarray(t)},
+                  r"^Adam: step count adam\.t .* is not a non-negative integer")
+       for t in (6.7, -3.0, np.inf, np.nan, (1.0, 2.0), (1.0,))},
+}
+
+
+@pytest.mark.parametrize("case", _BAD_ADAM_STATE)
+def test_adam_state_refuses_bad_names_and_step_counts(case):
+    p = T.parameter(np.zeros(3))
+    opt = T.Adam([p])
+    opt.step({p: np.ones(3)}, lr=0.1)
+    change, match = _BAD_ADAM_STATE[case]
+    state = {"w": p.data, **opt.state_arrays(), **change}
+    state = {k: v for k, v in state.items() if v is not None}
+    fresh = T.Adam([T.parameter(np.zeros(3))])
+    with pytest.raises(ValueError, match=match):
+        fresh.load_state_arrays(state)
+    # refused before any state is replaced
+    assert fresh.t == 0 and not any(a.any() for a in fresh.state_arrays().values())
+    fresh.load_state_arrays({**opt.state_arrays(), "adam.t": np.asarray(7.0)})
+    assert fresh.t == 7 and type(fresh.t) is int
+
+
 # ----------------------------------------------------------------- schedule
 
 def test_schedule_shape():

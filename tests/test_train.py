@@ -18,7 +18,6 @@ from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
 from refalign.tensor import Adam, NumericsError, ScheduleConfig
 import refalign.train
-from refalign import evaluation
 from refalign.train import (METRIC_COLUMNS, REPORT_KEYS, ablate, format_ablation_table,
                             masked_eval, sweep_w, train, train_step,
                             write_ablation_report)
@@ -161,6 +160,25 @@ def test_resume_validation(tmp_path, monkeypatch):
                     meta={"run_seed": 0}, optimizer=Adam(model.parameters()))
     with pytest.raises(ValueError, match="boundary"):
         train(cfg, resume_from=odd)
+
+
+@pytest.mark.parametrize("adam_t, match", [
+    # train() steps Adam once per step, so a count off the step is not this run's
+    (2.0, r"^resume: .*bad\.ckpt is at step 3 but its Adam state is at step 2$"),
+    # a checkpoint saved without an optimizer names the first missing state
+    (None, r"^Adam: state adam\.m\.0 is missing$")], ids=["off-step", "no-optimizer"])
+def test_resume_refuses_adam_state_not_of_its_run(tmp_path, monkeypatch, adam_t, match):
+    cfg = _cfg(tmp_path, run_id="adam", eval_every=1).with_variant("C")
+    part = _interrupt(cfg, monkeypatch, step=4)
+    step, meta, arrays = read_checkpoint(part)
+    if adam_t is None:
+        arrays = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
+    else:
+        arrays["adam.t"] = np.asarray(adam_t)
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(bad, {k: SimpleNamespace(data=v) for k, v in arrays.items()}, step, meta)
+    with pytest.raises(ValueError, match=match):
+        train(cfg, resume_from=bad)
 
 
 def _run_files(res):
@@ -503,20 +521,6 @@ def test_plan_job_runs_on_one_blas_thread(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="spy"):
         refalign.train._plan_job(cfg.with_seed(1), None, ())
     assert seen[2:] == [("train", 1)] and get_threads() == 1
-
-
-def test_ablation_workers_rank_inline(tmp_path, monkeypatch):
-    # the pool has a worker per CPU, so each worker's ranking runs inline
-    pools = []
-
-    def no_pool(workers, **kw):
-        pools.append(kw)
-        raise RuntimeError("no pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    with pytest.raises(RuntimeError, match="no pool"):
-        sweep_w(_cfg(tmp_path, run_id="inline"), seeds=(0,))
-    assert pools[0]["initializer"] is evaluation.rank_inline
 
 
 def test_ablation_refuses_bad_inputs_before_training(tmp_path, monkeypatch):
