@@ -144,41 +144,50 @@ class Tokenizer:
 
 
 @dataclass(frozen=True)
-class ObjectSpec:
-    identity_id: int
-    attributes: tuple[int, ...]
+class Split:
+    """A split as read-only arrays, one row per image/caption pair and
+    each identity's rows together, in identity order.  Row r of a ragged
+    field is field[field_offsets[r]:field_offsets[r + 1]]; dropped and
+    swapped (the slots a caption omits or mis-states) are diagnostics."""
+    identity: np.ndarray          # (n,) int64
+    image: np.ndarray             # (n, image_dim) float64
+    tokens: np.ndarray            # int64 token ids
+    tokens_offsets: np.ndarray    # (n + 1,) int64
+    dropped: np.ndarray           # int64 slot indices
+    dropped_offsets: np.ndarray
+    swapped: np.ndarray
+    swapped_offsets: np.ndarray
 
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
-@dataclass(frozen=True)
-class Pair:
-    """One image/caption observation of an identity.
+    def __len__(self) -> int:
+        return self.identity.size
 
-    dropped/swapped record which slots the caption underspecifies or
-    mis-states; they are diagnostics, not model input.
-    """
-    identity_id: int
-    image: np.ndarray          # (image_dim,) float64
-    tokens: np.ndarray         # (L,) int64
-    dropped: tuple[int, ...]
-    swapped: tuple[int, ...]
+    def token_seqs(self, rows) -> list[np.ndarray]:
+        """The token ids of each of rows, as views."""
+        at = self.tokens_offsets
+        return [self.tokens[at[r]:at[r + 1]] for r in rows]
 
 
 @dataclass
 class Corpus:
     config: CorpusConfig
-    objects: list[ObjectSpec]
-    train_pairs: list[Pair]
-    test_pairs: list[Pair]
+    attributes: np.ndarray        # (identities, n_slots) int64, row = identity id
+    train_pairs: Split
+    test_pairs: Split
     tokenizer: Tokenizer = field(init=False)
 
     def __post_init__(self):
+        self.attributes.setflags(write=False)
         self.tokenizer = Tokenizer(self.config.n_slots, self.config.values_per_slot)
 
     @property
     def train_identities(self) -> list[int]:
         return list(range(self.config.n_train_identities))
 
-    def split_pairs(self, split: str) -> list[Pair]:
+    def split_pairs(self, split: str) -> Split:
         """The non-empty "train" or "test" split; anything else is an error."""
         if split not in ("train", "test"):
             raise ValueError(f"corpus: unknown split {split!r}, expected 'train' or 'test'")
@@ -187,65 +196,61 @@ class Corpus:
             raise ValueError(f"corpus: split {split!r} is empty")
         return pairs
 
-    def pairs_of(self, identity_id: int) -> list[Pair]:
-        pool = self.train_pairs if identity_id < self.config.n_train_identities else self.test_pairs
-        return [p for p in pool if p.identity_id == identity_id]
 
-
-def _sample_attributes(cfg: CorpusConfig, rng: np.random.Generator) -> list[tuple[int, ...]]:
+def _sample_attributes(cfg: CorpusConfig, rng: np.random.Generator) -> np.ndarray:
     # rejection-sample distinct tuples; duplicates would make two
     # identities indistinguishable and retrieval ill-posed
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    total = cfg.n_train_identities + cfg.n_test_identities
-    while len(out) < total:
-        tup = tuple(int(v) for v in rng.integers(0, cfg.values_per_slot, size=cfg.n_slots))
-        if tup in seen:
-            continue
-        seen.add(tup)
-        out.append(tup)
-    return out
+    out: dict[tuple[int, ...], None] = {}      # keeps the first draw of each
+    while len(out) < cfg.n_train_identities + cfg.n_test_identities:
+        out[tuple(rng.integers(0, cfg.values_per_slot, size=cfg.n_slots).tolist())] = None
+    return np.array(list(out), dtype=np.int64)
 
 
-def _make_pair(obj: ObjectSpec, cfg: CorpusConfig, tok: Tokenizer,
-               rng: np.random.Generator) -> Pair:
+def _layout(first: int, count: int, cfg: CorpusConfig) -> np.ndarray:
+    """Each row's identity in a split of identities first..first+count-1."""
+    return np.repeat(np.arange(first, first + count, dtype=np.int64), cfg.pairs_per_identity)
+
+
+def _make_split(attributes: np.ndarray, first: int, cfg: CorpusConfig, tok: Tokenizer,
+                rng: np.random.Generator) -> Split:
+    """pairs_per_identity rows per identity row of attributes, ids from first."""
     K, V = cfg.n_slots, cfg.values_per_slot
-    onehot = np.zeros(K * V, dtype=np.float64)
-    for s, v in enumerate(obj.attributes):
-        onehot[s * V + v] = 1.0
-    image = np.concatenate([
-        onehot + rng.normal(0.0, cfg.image_noise_sigma, size=K * V),
-        rng.normal(0.0, 1.0, size=cfg.background_dims),
-    ])
-
-    dropped, swapped, mentions = [], [], []
-    for s, v in enumerate(obj.attributes):
-        if rng.random() < cfg.p_drop:
-            dropped.append(s)
-            continue
-        if rng.random() < cfg.p_swap:
-            wrong = int(rng.integers(0, V - 1))
-            if wrong >= v:
-                wrong += 1
-            swapped.append(s)
-            mentions.append((s, wrong))
-        else:
-            mentions.append((s, v))
-    tokens = tok.encode(mentions)
-    return Pair(obj.identity_id, image, tokens, tuple(dropped), tuple(swapped))
+    attrs = np.repeat(attributes, cfg.pairs_per_identity, axis=0)
+    image = np.zeros((len(attrs), cfg.image_dim))
+    image[np.arange(len(attrs))[:, None], np.arange(K) * V + attrs] = 1.0   # noise added below
+    ragged = {}                         # Split's ragged fields, as lists
+    for name in _RAGGED:
+        ragged.update({name: [], f"{name}_offsets": [0]})
+    for row, values in zip(image, attrs.tolist()):
+        row[:K * V] += rng.normal(0.0, cfg.image_noise_sigma, size=K * V)
+        row[K * V:] = rng.normal(0.0, 1.0, size=cfg.background_dims)
+        dropped, swapped, mentions = [], [], []
+        for s, v in enumerate(values):
+            if rng.random() < cfg.p_drop:
+                dropped.append(s)
+                continue
+            if rng.random() < cfg.p_swap:
+                wrong = int(rng.integers(0, V - 1))
+                if wrong >= v:
+                    wrong += 1
+                swapped.append(s)
+                mentions.append((s, wrong))
+            else:
+                mentions.append((s, v))
+        for name, got in zip(_RAGGED, (tok.encode(mentions).tolist(), dropped, swapped)):
+            ragged[name] += got
+            ragged[f"{name}_offsets"].append(len(ragged[name]))
+    return Split(_layout(first, len(attributes), cfg), image,
+                 **{key: np.array(values, dtype=np.int64) for key, values in ragged.items()})
 
 
 def generate_corpus(cfg: CorpusConfig) -> Corpus:
     rng = derive_rng(cfg.seed, STREAM_CORPUS)
-    attrs = _sample_attributes(cfg, rng)
-    objects = [ObjectSpec(i, a) for i, a in enumerate(attrs)]
+    attributes = _sample_attributes(cfg, rng)
     tok = Tokenizer(cfg.n_slots, cfg.values_per_slot)
-    train_pairs, test_pairs = [], []
-    for obj in objects:
-        target = train_pairs if obj.identity_id < cfg.n_train_identities else test_pairs
-        for _ in range(cfg.pairs_per_identity):
-            target.append(_make_pair(obj, cfg, tok, rng))
-    return Corpus(cfg, objects, train_pairs, test_pairs)
+    n = cfg.n_train_identities
+    return Corpus(cfg, attributes, _make_split(attributes[:n], 0, cfg, tok, rng),
+                  _make_split(attributes[n:], n, cfg, tok, rng))
 
 
 # ------------------------------------------------------------------ batches
@@ -272,18 +277,13 @@ def sample_batch(corpus: Corpus, identities_per_batch: int,
                          f"corpus stores {cfg.pairs_per_identity}")
     rng = derive_rng(cfg.seed, STREAM_BATCH, seed)
     chosen = rng.choice(cfg.n_train_identities, size=identities_per_batch, replace=False)
-    picked: list[Pair] = []
-    for ident in chosen:
-        pool = corpus.pairs_of(int(ident))
-        take = rng.choice(len(pool), size=pairs_per_identity, replace=False)
-        picked.extend(pool[int(j)] for j in take)
-    order = rng.permutation(len(picked))
-    picked = [picked[int(j)] for j in order]
-    return PairBatch(
-        images=np.stack([p.image for p in picked]),
-        token_seqs=[p.tokens for p in picked],
-        labels=np.asarray([p.identity_id for p in picked], dtype=np.int64),
-    )
+    pool = cfg.pairs_per_identity       # identity i's pool: rows i * pool onwards
+    rows = np.concatenate([ident * pool + rng.choice(pool, size=pairs_per_identity, replace=False)
+                           for ident in chosen])
+    rows = rows[rng.permutation(rows.size)]
+    pairs = corpus.train_pairs
+    return PairBatch(images=pairs.image[rows], token_seqs=pairs.token_seqs(rows),
+                     labels=pairs.identity[rows])
 
 
 # ----------------------------------------------------------------- file io
@@ -396,44 +396,57 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     and each of tokens/dropped/swapped as its concatenated values plus
     per-pair lengths (`<field>_len`).  Every integer is small, so exact
     in float64."""
-    arrays = {"objects": np.array([(o.identity_id, *o.attributes) for o in corpus.objects],
-                                  dtype=np.float64)}
-    for split in ("train", "test"):
-        pairs = corpus.train_pairs if split == "train" else corpus.test_pairs
-        arrays[f"{split}.identity"] = np.array([p.identity_id for p in pairs], dtype=np.float64)
-        arrays[f"{split}.image"] = np.reshape([p.image for p in pairs],
-                                              (len(pairs), corpus.config.image_dim))
+    arrays = {"objects": np.column_stack([np.arange(len(corpus.attributes)), corpus.attributes])}
+    for split, pairs in (("train", corpus.train_pairs), ("test", corpus.test_pairs)):
+        arrays[f"{split}.identity"] = pairs.identity
+        arrays[f"{split}.image"] = pairs.image
         for name in _RAGGED:
-            values = [getattr(p, name) for p in pairs]
-            arrays[f"{split}.{name}"] = np.concatenate([np.zeros(0), *values])
-            arrays[f"{split}.{name}_len"] = np.array([len(v) for v in values], dtype=np.float64)
+            arrays[f"{split}.{name}"] = getattr(pairs, name)
+            arrays[f"{split}.{name}_len"] = np.diff(getattr(pairs, f"{name}_offsets"))
     save_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, {"config": asdict(corpus.config)}, arrays)
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a save_corpus file; a cut file fails naming the header, the
-    manifest or the array it ends in, a missing array or a `<field>_len`
-    that does not split its values by name, and a header config without
-    exactly CorpusConfig's fields by those fields."""
+    """Read a save_corpus file; fails naming the header, manifest or array
+    a cut file ends in, a missing array, a non-integer in an integer
+    array, `objects` ids not 0..n-1, an `identity` not in the config's
+    row layout, an `image` or `<field>_len` not of one row per pair or
+    whose lengths do not split their values, and a header config
+    without exactly CorpusConfig's fields."""
     header, arrays = load_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, "corpus file")
     exact_fields(CorpusConfig, header.get("config"), "corpus")
+    ints = {}
     for name in _CORPUS_ARRAYS:
         if name not in arrays:
             raise ValueError(f"corpus file: missing array {name!r}")
-    objects = [ObjectSpec(row[0], tuple(row[1:]))
-               for row in arrays["objects"].astype(np.int64).tolist()]
+        if not name.endswith(".image"):
+            with np.errstate(invalid="ignore"):
+                ints[name] = arrays[name].astype(np.int64)
+            if not np.array_equal(ints[name], arrays[name]):
+                raise ValueError(f"corpus file: non-integer value in array {name!r}")
+    cfg = CorpusConfig(**header["config"])
+    n_train, total = cfg.n_train_identities, cfg.n_train_identities + cfg.n_test_identities
+    objects = ints["objects"]
+    if objects.shape != (total, 1 + cfg.n_slots) or np.any(objects[:, 0] != np.arange(total)):
+        raise ValueError(f"corpus file: array 'objects' is not ids 0..{total - 1} "
+                         f"with {cfg.n_slots} attributes each")
     splits = []
-    for split in ("train", "test"):
-        ragged = []
+    for split, first, count in (("train", 0, n_train), ("test", n_train, total - n_train)):
+        identity, image = ints[f"{split}.identity"], arrays[f"{split}.image"]
+        if not np.array_equal(identity, _layout(first, count, cfg)):
+            raise ValueError(f"corpus file: array '{split}.identity' is not identities "
+                             f"{first}..{first + count - 1} in order, "
+                             f"{cfg.pairs_per_identity} rows each")
+        if image.shape != (identity.size, cfg.image_dim):
+            raise ValueError(f"corpus file: array '{split}.image' is not "
+                             f"{identity.size} rows of {cfg.image_dim}")
+        ragged = {}
         for name in _RAGGED:
-            values = arrays[f"{split}.{name}"].astype(np.int64)
-            lengths = arrays[f"{split}.{name}_len"].astype(np.int64)
-            if lengths.sum() != values.size or np.any(lengths < 0):
+            values, lengths = ints[f"{split}.{name}"], ints[f"{split}.{name}_len"]
+            if lengths.shape != identity.shape or lengths.sum() != values.size \
+                    or np.any(lengths < 0):
                 raise ValueError(f"corpus file: {split}.{name}_len does not split "
                                  f"{values.size} values")
-            ragged.append(np.split(values, np.cumsum(lengths)[:-1]))
-        idents = arrays[f"{split}.identity"].astype(np.int64).tolist()
-        splits.append([Pair(ident, image, tokens, tuple(dropped.tolist()), tuple(swapped.tolist()))
-                       for ident, image, tokens, dropped, swapped
-                       in zip(idents, arrays[f"{split}.image"], *ragged)])
-    return Corpus(CorpusConfig(**header["config"]), objects, *splits)
+            ragged.update({name: values, f"{name}_offsets": np.concatenate([[0], np.cumsum(lengths)])})
+        splits.append(Split(identity, image, **ragged))
+    return Corpus(cfg, objects[:, 1:], *splits)

@@ -182,11 +182,10 @@ def encode_split(model, corpus: Corpus, split: str):
     pairs = corpus.split_pairs(split)
     text, image = [], []
     for lo in range(0, len(pairs), ENCODE_CHUNK):
-        part = pairs[lo:lo + ENCODE_CHUNK]
-        text.append(model.text_encoder.encode_batch([p.tokens for p in part])[0].data)
-        image.append(model.image_encoder.encode_batch(np.stack([p.image for p in part])).data)
-    labels = np.asarray([p.identity_id for p in pairs], dtype=np.int64)
-    return np.concatenate(text), np.concatenate(image), labels
+        rows = range(lo, min(lo + ENCODE_CHUNK, len(pairs)))
+        text.append(model.text_encoder.encode_batch(pairs.token_seqs(rows))[0].data)
+        image.append(model.image_encoder.encode_batch(pairs.image[lo:lo + ENCODE_CHUNK]).data)
+    return np.concatenate(text), np.concatenate(image), pairs.identity
 
 
 def score_split(text: np.ndarray, image: np.ndarray, labels: np.ndarray,

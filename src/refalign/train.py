@@ -298,10 +298,10 @@ def masked_eval(model: RetrievalModel, corpus: Corpus, split: str = "train",
     hits = 0
     count = 0
     for lo in range(0, len(pairs), ENCODE_CHUNK):
-        part = pairs[lo:lo + ENCODE_CHUNK]
+        rows = range(lo, min(lo + ENCODE_CHUNK, len(pairs)))
         recon = _reconstruct_masked(
-            model, [p.tokens for p in part], np.asarray([p.identity_id for p in part]),
-            ratio, [derive_rng(seed, STREAM_MASK, lo + i) for i in range(len(part))])
+            model, pairs.token_seqs(rows), pairs.identity[lo:lo + ENCODE_CHUNK],
+            ratio, [derive_rng(seed, STREAM_MASK, r) for r in rows])
         if recon is None:
             continue
         probs, targets = recon[0].data, recon[1]

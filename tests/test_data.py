@@ -1,16 +1,18 @@
 """Synthetic corpus: generation, ambiguity injection, batching, storage."""
+import hashlib
 import json
 import math
 import re
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from refalign import data
+from refalign.config import trend_protocol_config
 from refalign.data import (BOS_ID, EOS_ID, MASK_ID, N_SPECIAL, PAD_ID,
-                           CorpusConfig, Tokenizer, derive_rng,
+                           CorpusConfig, Split, Tokenizer, derive_rng,
                            generate_corpus, load_corpus, sample_batch,
                            save_corpus)
 
@@ -104,60 +106,77 @@ def test_tokenizer_range_validation():
 
 # ---------------------------------------------------------------- generation
 
+def _arrays(corpus) -> dict:
+    """The attributes and every split array of a corpus, by name."""
+    out = {"attributes": corpus.attributes}
+    for split in ("train", "test"):
+        pairs = getattr(corpus, f"{split}_pairs")
+        out.update({f"{split}.{f.name}": getattr(pairs, f.name) for f in fields(Split)})
+    return out
+
+
+def _rows(pairs, name) -> list[np.ndarray]:
+    """Row by row values of a ragged split field."""
+    values, offsets = getattr(pairs, name), getattr(pairs, f"{name}_offsets")
+    return [values[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def _captions(corpus):
+    """(attribute list, token ids) of every train row."""
+    pairs = corpus.train_pairs
+    return zip(corpus.attributes[pairs.identity].tolist(), _rows(pairs, "tokens"))
+
+
 def test_generation_deterministic():
-    a, b = generate_corpus(_cfg()), generate_corpus(_cfg())
-    for pa, pb in zip(a.train_pairs + a.test_pairs, b.train_pairs + b.test_pairs):
-        assert pa.identity_id == pb.identity_id
-        np.testing.assert_array_equal(pa.image, pb.image)
-        np.testing.assert_array_equal(pa.tokens, pb.tokens)
-        assert pa.dropped == pb.dropped and pa.swapped == pb.swapped
+    a, b = _arrays(generate_corpus(_cfg())), _arrays(generate_corpus(_cfg()))
+    assert a.keys() == b.keys()
+    for name, arr in a.items():
+        assert arr.dtype == b[name].dtype
+        np.testing.assert_array_equal(arr, b[name])
     c = generate_corpus(_cfg(seed=1))
-    assert any(p.image.tobytes() != q.image.tobytes()
-               for p, q in zip(a.train_pairs, c.train_pairs))
+    assert any(p.tobytes() != q.tobytes() for p, q in zip(a["train.image"], c.train_pairs.image))
 
 
 def test_identities_and_splits():
     corpus = generate_corpus(_cfg())
-    assert [o.identity_id for o in corpus.objects] == list(range(17))
-    assert len({o.attributes for o in corpus.objects}) == 17
+    assert corpus.attributes.shape == (17, 4) and corpus.attributes.dtype == np.int64
+    assert len({tuple(a) for a in corpus.attributes.tolist()}) == 17
     assert len(corpus.train_pairs) == 12 * 3
     assert len(corpus.test_pairs) == 5 * 3
-    train_ids = {p.identity_id for p in corpus.train_pairs}
-    test_ids = {p.identity_id for p in corpus.test_pairs}
-    assert train_ids == set(range(12))
-    assert test_ids == set(range(12, 17))
-    assert not train_ids & test_ids
+    # each identity's rows lie together, in identity order, split by split
+    assert corpus.train_pairs.identity.dtype == np.int64
+    np.testing.assert_array_equal(corpus.train_pairs.identity, np.repeat(np.arange(12), 3))
+    np.testing.assert_array_equal(corpus.test_pairs.identity, np.repeat(np.arange(12, 17), 3))
 
 
 def test_image_layout():
     cfg = _cfg(image_noise_sigma=0.0)
     corpus = generate_corpus(cfg)
     V = cfg.values_per_slot
-    for pair in corpus.train_pairs[:6]:
-        attrs = corpus.objects[pair.identity_id].attributes
-        assert pair.image.size == cfg.image_dim
-        block = pair.image[:cfg.n_slots * V]
+    pairs = corpus.train_pairs
+    assert pairs.image.shape == (len(pairs), cfg.image_dim)
+    for image, ident in zip(pairs.image[:6], pairs.identity[:6]):
+        block = image[:cfg.n_slots * V]
         want = np.zeros_like(block)
-        for s, v in enumerate(attrs):
+        for s, v in enumerate(corpus.attributes[ident]):
             want[s * V + v] = 1.0
         np.testing.assert_array_equal(block, want)
-        assert np.any(pair.image[cfg.n_slots * V:] != 0.0)
+        assert np.any(image[cfg.n_slots * V:] != 0.0)
 
 
 def test_clean_captions_mention_every_slot():
     corpus = generate_corpus(_cfg(p_drop=0.0, p_swap=0.0))
-    for pair in corpus.train_pairs:
-        attrs = corpus.objects[pair.identity_id].attributes
-        mentions = corpus.tokenizer.decode(pair.tokens)
-        assert mentions == list(enumerate(attrs))
-        assert pair.dropped == () and pair.swapped == ()
+    for attrs, tokens in _captions(corpus):
+        assert corpus.tokenizer.decode(tokens) == list(enumerate(attrs))
+    for name in ("dropped", "swapped"):
+        assert all(row.size == 0 for row in _rows(corpus.train_pairs, name))
 
 
 def test_full_dropout_leaves_frame_tokens_only():
     corpus = generate_corpus(_cfg(p_drop=1.0))
-    for pair in corpus.train_pairs:
-        np.testing.assert_array_equal(pair.tokens, [BOS_ID, EOS_ID])
-        assert len(pair.dropped) == corpus.config.n_slots
+    for _, tokens in _captions(corpus):
+        np.testing.assert_array_equal(tokens, [BOS_ID, EOS_ID])
+    assert all(row.size == corpus.config.n_slots for row in _rows(corpus.train_pairs, "dropped"))
 
 
 def test_ambiguity_rates_match_configuration():
@@ -166,25 +185,37 @@ def test_ambiguity_rates_match_configuration():
     corpus = generate_corpus(cfg)
     slots = cfg.n_slots * len(corpus.train_pairs)
     assert slots >= 10_000
-    n_drop = sum(len(p.dropped) for p in corpus.train_pairs)
-    n_swap = sum(len(p.swapped) for p in corpus.train_pairs)
+    n_drop = corpus.train_pairs.dropped.size
+    n_swap = corpus.train_pairs.swapped.size
     assert abs(n_drop / slots - 0.3) < 0.02
     assert abs(n_swap / (slots - n_drop) - 0.1) < 0.02
 
 
 def test_swapped_mentions_are_wrong_but_in_range():
     corpus = generate_corpus(_cfg(p_drop=0.0, p_swap=1.0))
-    for pair in corpus.train_pairs:
-        attrs = corpus.objects[pair.identity_id].attributes
-        for slot, value in corpus.tokenizer.decode(pair.tokens):
+    for attrs, tokens in _captions(corpus):
+        for slot, value in corpus.tokenizer.decode(tokens):
             assert 0 <= value < corpus.config.values_per_slot
             assert value != attrs[slot]
 
 
 def test_tokens_fit_declared_vocab():
     corpus = generate_corpus(_cfg())
-    top = max(int(p.tokens.max()) for p in corpus.train_pairs + corpus.test_pairs)
+    top = max(int(corpus.train_pairs.tokens.max()), int(corpus.test_pairs.tokens.max()))
     assert top < corpus.config.vocab_size
+
+
+def test_split_arrays_are_read_only(tmp_path):
+    # encode_split hands the encoders views of these arrays
+    corpus = generate_corpus(_cfg())
+    path = str(tmp_path / "corpus.bin")
+    save_corpus(corpus, path)
+    for source in (corpus, load_corpus(path)):
+        with pytest.raises(ValueError, match="read-only"):
+            source.train_pairs.image[0, 0] = 1.0
+        for name, arr in _arrays(source).items():
+            assert not arr.flags.writeable, name
+        assert all(not row.flags.writeable for row in source.train_pairs.token_seqs([0, 5]))
 
 
 # ------------------------------------------------------------------ batching
@@ -231,20 +262,12 @@ def test_save_load_round_trip(tmp_path):
         save_corpus(corpus, str(path))
         loaded = load_corpus(str(path))
         assert loaded.config == corpus.config
-        assert loaded.objects == corpus.objects
-        assert all(type(o.identity_id) is int and all(type(a) is int for a in o.attributes)
-                   for o in loaded.objects)
-        assert [len(loaded.train_pairs), len(loaded.test_pairs)] == \
-            [len(corpus.train_pairs), len(corpus.test_pairs)]
-        for pa, pb in zip(corpus.train_pairs + corpus.test_pairs,
-                          loaded.train_pairs + loaded.test_pairs):
-            assert pa.identity_id == pb.identity_id and type(pb.identity_id) is int
-            assert pa.tokens.dtype == pb.tokens.dtype == np.int64
-            assert pb.image.dtype == np.float64
-            np.testing.assert_array_equal(pa.image, pb.image)
-            np.testing.assert_array_equal(pa.tokens, pb.tokens)
-            assert pa.dropped == pb.dropped and pa.swapped == pb.swapped
-            assert all(type(s) is int for s in pb.dropped + pb.swapped)
+        want, got = _arrays(corpus), _arrays(loaded)
+        assert want.keys() == got.keys()
+        for name, arr in want.items():
+            assert arr.dtype == got[name].dtype == (np.float64 if name.endswith(".image")
+                                                    else np.int64), name
+            np.testing.assert_array_equal(arr, got[name])
         again = tmp_path / "again.bin"
         save_corpus(loaded, str(again))
         assert path.read_bytes() == again.read_bytes()
@@ -258,14 +281,29 @@ def _parent_layout(corpus) -> bytes:
 
     cfg = json.dumps(asdict(corpus.config), sort_keys=True, separators=(",", ":")).encode()
     out = [b"RFCORP01", struct.pack("<I", len(cfg)), cfg,
-           struct.pack("<I", len(corpus.objects))]
-    out += [struct.pack("<i", o.identity_id) + ints("h", o.attributes) for o in corpus.objects]
+           struct.pack("<I", len(corpus.attributes))]
+    out += [struct.pack("<i", i) + ints("h", a) for i, a in enumerate(corpus.attributes.tolist())]
     out.append(struct.pack("<II", len(corpus.train_pairs), len(corpus.test_pairs)))
-    for p in corpus.train_pairs + corpus.test_pairs:
-        out += [struct.pack(f"<iI{len(p.tokens)}i", p.identity_id, len(p.tokens), *p.tokens),
-                struct.pack(f"<I{len(p.image)}d", len(p.image), *p.image),
-                ints("h", p.dropped), ints("h", p.swapped)]
+    for pairs in (corpus.train_pairs, corpus.test_pairs):
+        for ident, image, tokens, dropped, swapped in zip(
+                pairs.identity.tolist(), pairs.image,
+                *(_rows(pairs, name) for name in ("tokens", "dropped", "swapped"))):
+            out += [struct.pack(f"<iI{len(tokens)}i", ident, len(tokens), *tokens),
+                    struct.pack(f"<I{len(image)}d", len(image), *image),
+                    ints("h", dropped), ints("h", swapped)]
     return b"".join(out)
+
+
+def test_trend_corpus_file_bytes_are_pinned(tmp_path):
+    # the bytes of format version 2, from generation and from a reload
+    path, again = tmp_path / "corpus.bin", tmp_path / "again.bin"
+    save_corpus(generate_corpus(trend_protocol_config().corpus), str(path))
+    save_corpus(load_corpus(str(path)), str(again))
+    for saved in (path, again):
+        blob = saved.read_bytes()
+        assert len(blob) == 1_552_488
+        assert hashlib.sha256(blob).hexdigest() == \
+            "c35b05dc125769676e4a244f951f13ac86c8c8e5ae704e66eac2dc2940cc4d5a"
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -339,22 +377,48 @@ def test_load_refuses_arrays_that_do_not_lie_back_to_back(tmp_path):
             data.load_arrays(path, b"TESTARR1", 1, "test file")
 
 
-def test_load_refuses_lengths_that_do_not_split_their_values(tmp_path):
+def test_load_refuses_arrays_that_misstate_the_corpus(tmp_path):
+    # identities come from each split's row layout, and integers are
+    # stored as float64, so a non-integer once loaded cut down
     path = str(tmp_path / "corpus.bin")
     save_corpus(generate_corpus(_cfg()), path)
     header, arrays = data.load_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION,
                                       "corpus file")
-    count = arrays["train.tokens"].size
-    lengths = arrays["train.tokens_len"]
-    one_more, one_less, negative = lengths.copy(), lengths.copy(), lengths.copy()
-    one_more[0] += 1
-    one_less[-1] -= 1
+
+    def changed(name, index, value):
+        arr = arrays[name].copy()
+        arr.flat[index] = value
+        return {name: arr}
+
+    count, lengths = arrays["train.tokens"].size, arrays["train.tokens_len"]
+    negative = lengths.copy()
     negative[:2] = -1, lengths[0] + lengths[1] + 1     # the total still fits
-    for bad in (one_more, one_less, negative):
+    split_error = rf"train\.tokens_len does not split {count} values"
+    cases = [(changed("train.tokens_len", 0, lengths[0] + 1), split_error),
+             (changed("train.tokens_len", -1, lengths[-1] - 1), split_error),
+             ({"train.tokens_len": negative}, split_error),
+             # one length per pair and one more; the total still fits
+             ({"train.tokens_len": np.append(lengths, 0)}, split_error)]
+    cases += [(changed(name, 0, arrays[name].flat[0] + 0.5),
+               rf"non-integer value in array '{re.escape(name)}'")
+              for name in data._CORPUS_ARRAYS if not name.endswith(".image")]
+    assert len(cases) == 4 + 15 and all(arrays[name].size for name in data._CORPUS_ARRAYS)
+    cases += [
+        (changed("test.tokens", -1, np.nan), r"non-integer value in array 'test\.tokens'"),
+        (changed("objects", 0, 7), r"array 'objects' is not ids 0\.\.16 with 4 attributes each"),
+        ({"objects": arrays["objects"][:, :-1]},
+         r"array 'objects' is not ids 0\.\.16 with 4 attributes each"),
+        (changed("train.identity", 1, 13),
+         r"array 'train\.identity' is not identities 0\.\.11 in order, 3 rows each"),
+        ({"test.identity": arrays["test.identity"][::-1]},
+         r"array 'test\.identity' is not identities 12\.\.16 in order, 3 rows each"),
+        ({"train.image": arrays["train.image"][:, :-1]},
+         r"array 'train\.image' is not 36 rows of 32"),
+    ]
+    for bad, error in cases:
         data.save_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION, header,
-                         {**arrays, "train.tokens_len": bad})
-        with pytest.raises(ValueError, match=rf"^corpus file: train\.tokens_len does "
-                                             rf"not split {count} values$"):
+                         {**arrays, **bad})
+        with pytest.raises(ValueError, match=rf"^corpus file: {error}$"):
             load_corpus(path)
 
 

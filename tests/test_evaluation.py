@@ -313,11 +313,11 @@ def test_encode_split_chunks_match_one_batch():
     pairs = corpus.test_pairs
     assert len(pairs) > ENCODE_CHUNK             # at least two chunks
     text, image, labels = encode_split(model, corpus, "test")
-    whole_text = model.text_encoder.encode_batch([p.tokens for p in pairs])[0].data
-    whole_image = model.image_encoder.encode_batch(np.stack([p.image for p in pairs])).data
+    whole_text = model.text_encoder.encode_batch(pairs.token_seqs(range(len(pairs))))[0].data
+    whole_image = model.image_encoder.encode_batch(pairs.image).data
     assert np.array_equal(text, whole_text)
     assert np.array_equal(image, whole_image)
-    np.testing.assert_array_equal(labels, [p.identity_id for p in pairs])
+    np.testing.assert_array_equal(labels, pairs.identity)
 
 
 def test_score_split_matches_per_metric_functions():
