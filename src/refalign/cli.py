@@ -1,10 +1,10 @@
 """Command line interface.
 
 Subcommands cover the whole workflow: generate-corpus, train, eval,
-ablate, sweep-w, gradcheck, and fingerprint.  Every scalar run option is
-exposed as a flag named after its config field; an INI config file (see
-read_config) supplies nested corpus/encoder/loss sections, and explicit
-flags win over the file.
+ablate (the component table and the w sweep), gradcheck, and
+fingerprint.  Every scalar run option is exposed as a flag named after
+its config field; an INI config file (see read_config) supplies nested
+corpus/encoder/loss sections, and explicit flags win over the file.
 """
 from __future__ import annotations
 
@@ -14,15 +14,15 @@ import hashlib
 import json
 import sys
 
-from .config import (RunConfig, W_SWEEP_GRID, config_from_dict, full_scale_config,
-                     read_config, trend_protocol_config)
+from .config import (RunConfig, config_from_dict, full_scale_config, read_config,
+                     trend_protocol_config)
 from .data import Corpus, CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .evaluation import encode_split, score_split
 from .gradcheck import format_report, run_checks, stop_gradient_contracts
 from .model import load_checkpoint, model_for_corpus, read_checkpoint
 from .refinement import cosine_scores, refined_scores
-from .train import (ablate, format_ablation_table, run_steps, start_run, sweep_w,
-                    train, write_ablation_report)
+from .train import (ablate, format_ablation_table, run_steps, start_run, train,
+                    write_ablation_report)
 
 # trend-config train steps per variant in `refalign fingerprint`
 FINGERPRINT_STEPS = 20
@@ -81,14 +81,13 @@ def _run_inputs(args: argparse.Namespace,
     return dataclasses.replace(cfg, corpus=corpus.config), corpus
 
 
-def _comma_list(raw: str, kind, flag: str) -> tuple:
-    """A comma-separated flag value as a tuple of kind; exits naming the
+def _comma_list(raw: str, flag: str) -> tuple:
+    """A comma-separated flag value as a tuple of ints; exits naming the
     flag when a part does not parse."""
     try:
-        return tuple(kind(part) for part in raw.split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise SystemExit(f"{flag}: expected comma-separated {kind.__name__} values, "
-                         f"got {raw!r}")
+        raise SystemExit(f"{flag}: expected comma-separated int values, got {raw!r}")
 
 
 # ----------------------------------------------------------------- commands
@@ -137,21 +136,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     base, corpus = _run_inputs(args, args._field_names)
-    report = ablate(base, seeds=_comma_list(args.seeds, int, "--seeds"), corpus=corpus,
+    report = ablate(base, seeds=_comma_list(args.seeds, "--seeds"), corpus=corpus,
                     log=None if args.quiet else print)
     json_path, csv_path = write_ablation_report(report, base.out_dir)
     print(format_ablation_table(report))
     print(f"report: {json_path}")
     print(f"        {csv_path}")
-    return 0
-
-
-def _cmd_sweep_w(args: argparse.Namespace) -> int:
-    base, corpus = _run_inputs(args, args._field_names)
-    report = sweep_w(base, seeds=_comma_list(args.seeds, int, "--seeds"), corpus=corpus,
-                     w_grid=_comma_list(args.grid, float, "--grid"),
-                     log=None if args.quiet else print)
-    print(format_ablation_table(report))
     return 0
 
 
@@ -237,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2",
                    help="comma-separated seeds (default 0,1,2)")
     p.set_defaults(func=_cmd_ablate, _field_names=_add_run_options(p))
-
-    p = sub.add_parser("sweep-w", help="fusion-weight sweep on the full model")
-    p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--grid", default=",".join(str(g) for g in W_SWEEP_GRID))
-    p.set_defaults(func=_cmd_sweep_w, _field_names=_add_run_options(p))
 
     p = sub.add_parser("gradcheck", help="finite-difference and "
                                          "stop-gradient checks")

@@ -183,10 +183,6 @@ class Corpus:
         self.attributes.setflags(write=False)
         self.tokenizer = Tokenizer(self.config.n_slots, self.config.values_per_slot)
 
-    @property
-    def train_identities(self) -> list[int]:
-        return list(range(self.config.n_train_identities))
-
     def split_pairs(self, split: str) -> Split:
         """The non-empty "train" or "test" split; anything else is an error."""
         if split not in ("train", "test"):
@@ -406,13 +402,19 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     save_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, {"config": asdict(corpus.config)}, arrays)
 
 
+def _refuse_outside(name: str, values: np.ndarray, stop: int) -> None:
+    if values.size and (values.min() < 0 or values.max() >= stop):
+        raise ValueError(f"corpus file: array {name!r} has a value outside [0, {stop})")
+
+
 def load_corpus(path: str) -> Corpus:
     """Read a save_corpus file; fails naming the header, manifest or array
     a cut file ends in, a missing array, a non-integer in an integer
     array, `objects` ids not 0..n-1, an `identity` not in the config's
     row layout, an `image` or `<field>_len` not of one row per pair or
-    whose lengths do not split their values, and a header config
-    without exactly CorpusConfig's fields."""
+    whose lengths do not split their values, a token, attribute or slot
+    outside the config's range, and a header config without exactly
+    CorpusConfig's fields."""
     header, arrays = load_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, "corpus file")
     exact_fields(CorpusConfig, header.get("config"), "corpus")
     ints = {}
@@ -430,6 +432,7 @@ def load_corpus(path: str) -> Corpus:
     if objects.shape != (total, 1 + cfg.n_slots) or np.any(objects[:, 0] != np.arange(total)):
         raise ValueError(f"corpus file: array 'objects' is not ids 0..{total - 1} "
                          f"with {cfg.n_slots} attributes each")
+    _refuse_outside("objects", objects[:, 1:], cfg.values_per_slot)
     splits = []
     for split, first, count in (("train", 0, n_train), ("test", n_train, total - n_train)):
         identity, image = ints[f"{split}.identity"], arrays[f"{split}.image"]
@@ -447,6 +450,8 @@ def load_corpus(path: str) -> Corpus:
                     or np.any(lengths < 0):
                 raise ValueError(f"corpus file: {split}.{name}_len does not split "
                                  f"{values.size} values")
+            _refuse_outside(f"{split}.{name}", values,
+                            cfg.vocab_size if name == "tokens" else cfg.n_slots)
             ragged.update({name: values, f"{name}_offsets": np.concatenate([[0], np.cumsum(lengths)])})
         splits.append(Split(identity, image, **ragged))
     return Corpus(cfg, objects[:, 1:], *splits)

@@ -162,11 +162,11 @@ def _check_align_loss(rng):
         lambda: align_loss(T.l2_normalize(t), T.l2_normalize(i), labels, cfg), [t, i])
 
 
-def _tiny_bank(rng, ids=(0, 1, 2), d=6):
+def _tiny_bank(rng, m=3, d=6):
     # unit-scale rows: at the production init scale (std 0.02) the cosine
     # curvature is so steep that central differences at step 1e-4 drown
     # in truncation error even for a correct gradient
-    bank = ReferenceBank(ids, d, rng)
+    bank = ReferenceBank(m, d, rng)
     bank.ref.data[...] = rng.normal(size=bank.ref.shape)
     return bank
 
@@ -204,8 +204,8 @@ def _check_total_loss(rng):
     t, i = _p(rng, 4, 6), _p(rng, 4, 6)
     labels = np.array([0, 0, 1, 1])
     rep_labels = np.concatenate([labels, labels])
-    bank = _tiny_bank(rng, ids=(0, 1))
-    bank_fixed = _tiny_bank(rng, ids=(0, 1))
+    bank = _tiny_bank(rng, m=2)
+    bank_fixed = _tiny_bank(rng, m=2)
     reps_fixed = T.Tensor(rng.normal(size=(8, 6)))
     reps_live = _p(rng, 8, 6)
     logits = _p(rng, 3, 5)
@@ -231,7 +231,7 @@ def _check_total_loss_linearity(rng):
     t, i = _p(rng, 4, 6), _p(rng, 4, 6)
     labels = np.array([0, 0, 1, 1])
     rep_labels = np.concatenate([labels, labels])
-    bank = _tiny_bank(rng, ids=(0, 1))
+    bank = _tiny_bank(rng, m=2)
     logits = _p(rng, 3, 5)
     targets = rng.integers(0, 5, size=3)
     cfg = LossConfig()

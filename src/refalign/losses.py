@@ -88,7 +88,7 @@ def _reference_rows(bank, reps: Tensor, labels, cfg: LossConfig, caller: str):
     if labels.size == 0:
         raise ValueError(f"{caller}: empty batch")
     if cfg.bank_wide_negatives:
-        ref_ids = np.asarray(bank.identity_ids)
+        ref_ids = np.arange(bank.m)
     else:
         # first-occurrence order keeps the similarity matrix reproducible
         _, first = np.unique(labels, return_index=True)

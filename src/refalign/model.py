@@ -25,14 +25,14 @@ _CKPT_VERSION = 2
 class RetrievalModel:
     """Encoders + reconstructor + reference bank under one seed."""
 
-    def __init__(self, cfg: EncoderConfig, train_identity_ids, seed: int):
+    def __init__(self, cfg: EncoderConfig, n_identities: int, seed: int):
         rng = derive_rng(seed, STREAM_MODEL)
         self.cfg = cfg
         self.seed = int(seed)
         self.text_encoder = TextEncoder(cfg, rng)
         self.image_encoder = ImageEncoder(cfg, rng)
         self.reconstructor = LocalReconstructor(cfg.d, cfg.n_heads, cfg.vocab_size, rng)
-        self.bank = ReferenceBank(train_identity_ids, cfg.d, rng)
+        self.bank = ReferenceBank(n_identities, cfg.d, rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = (self.text_encoder.parameters()
@@ -65,7 +65,7 @@ def model_for_corpus(cfg: EncoderConfig, corpus: Corpus, seed: int) -> Retrieval
     if corpus.config.max_tokens > cfg.max_seq_len:
         raise ValueError(f"model: corpus captions reach {corpus.config.max_tokens} tokens, "
                          f"encoder caps at {cfg.max_seq_len}")
-    return RetrievalModel(cfg, corpus.train_identities, seed)
+    return RetrievalModel(cfg, corpus.config.n_train_identities, seed)
 
 
 # -------------------------------------------------------------- checkpoints

@@ -21,40 +21,31 @@ _N_STAGES = 3
 
 
 class ReferenceBank:
-    """m x d learnable matrix plus an identity-to-row map."""
+    """m x d learnable matrix; row i is train identity i."""
 
-    def __init__(self, identity_ids, d: int, rng: np.random.Generator):
-        ids = [int(i) for i in identity_ids]
-        if not ids:
+    def __init__(self, m: int, d: int, rng: np.random.Generator):
+        if m < 1:
             raise ValueError("reference bank: no identities")
-        if len(set(ids)) != len(ids):
-            raise ValueError("reference bank: duplicate identity ids")
         if d < 1:
             raise ValueError(f"reference bank: bad width {d}")
-        self.identity_ids = ids
-        self._row_of = {ident: row for row, ident in enumerate(ids)}
-        self.ref = T.parameter(rng.normal(0.0, _BANK_STD, size=(len(ids), d)),
-                               "reference.bank")
+        self.ref = T.parameter(rng.normal(0.0, _BANK_STD, size=(m, d)), "reference.bank")
 
     @property
     def m(self) -> int:
-        return len(self.identity_ids)
+        return self.ref.shape[0]
 
     @property
     def d(self) -> int:
         return self.ref.shape[1]
 
-    def row_index(self, labels) -> np.ndarray:
-        labels = np.asarray(labels).ravel()
-        try:
-            return np.asarray([self._row_of[int(i)] for i in labels], dtype=np.intp)
-        except KeyError as e:
-            raise KeyError(f"reference bank: identity {e.args[0]} has no row") from None
-
     def rows_for(self, labels) -> Tensor:
         """Gather rows by identity label; gradients accumulate across
-        duplicate labels."""
-        return T.take(self.ref, self.row_index(labels))
+        duplicate labels.  A label outside [0, m) is a KeyError."""
+        labels = np.asarray(labels, dtype=np.intp).ravel()
+        if labels.size and (labels.min() < 0 or labels.max() >= self.m):
+            bad = labels[(labels < 0) | (labels >= self.m)][0]
+            raise KeyError(f"reference bank: identity {bad} has no row")
+        return T.take(self.ref, labels)
 
     def matrix(self) -> np.ndarray:
         return self.ref.data

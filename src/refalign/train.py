@@ -347,8 +347,8 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     """Per seed, train each variant of plan, {variant: reranking weights},
     once and score it at w = 0.0 and at each of its weights
     -> {(variant, w): per-seed report rows, in seed order}.  Repeated or
-    no seeds, bad weights and a corpus that does not match base.corpus
-    are refused before any worker starts.
+    no seeds and a corpus that does not match base.corpus are refused
+    before any worker starts.
 
     Each (seed, variant) job runs _plan_job in a spawned worker process,
     with up to one worker per usable CPU; the longest jobs go first.  A
@@ -358,12 +358,8 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     script that gets here must guard its entry point with
     `if __name__ == "__main__":`."""
     seeds = [int(s) for s in seeds]
-    weights = [w for ws in plan.values() for w in ws]
     if not seeds or len(set(seeds)) < len(seeds):
         raise ValueError(f"ablation: seeds {seeds} must be distinct and non-empty")
-    if not all(np.isfinite(w) and w >= 0.0 for w in weights):
-        raise ValueError(f"ablation: bad weight in {weights}; each w must be "
-                         f"finite and >= 0")
     if corpus is None:
         corpus = generate_corpus(base.corpus)
     elif corpus.config != base.corpus:
@@ -399,23 +395,16 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     return rows
 
 
-def _grid(w_grid) -> tuple:
-    """The sweep's weights, refused before any training if one repeats."""
-    if len(set(w_grid)) < len(w_grid):
-        raise ValueError(f"ablation: w grid {list(w_grid)} repeats a w")
-    return tuple(w_grid)
-
-
 def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
-           w_grid=W_SWEEP_GRID, log=None) -> dict:
+           log=None) -> dict:
     """The component ablation plus the fusion-weight sweep.
 
     Per seed, three trainings: Baseline, A (guidance + fusion), and C
     (guidance + fusion + reconstruction).  B reranks A's model through
     the bank at the trained weight w, and Full reranks C's: B is (A, w)
     and Full (C, w) of _run_plan's rows.  The sweep re-scores C's model
-    across w_grid, (C, g) for each g.  Scores are text-to-image on the
-    test split.  Each model is encoded once, by train()'s final eval,
+    across W_SWEEP_GRID, (C, g) for each g.  Scores are text-to-image on
+    the test split.  Each model is encoded once, by train()'s final eval,
     and each distinct weight is scored once from its features.
 
     The trainings run on up to one spawned worker process per usable
@@ -426,14 +415,14 @@ def ablate(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
     """
     w = base.loss.refine_weight
     rows = _run_plan(base, seeds, corpus,
-                     {"Baseline": (), "A": (w,), "C": (w, *_grid(w_grid))}, log)
+                     {"Baseline": (), "A": (w,), "C": (w, *W_SWEEP_GRID)}, log)
     source = {"B": ("A", w), "Full": ("C", w)}
     return {
         "seeds": [int(s) for s in seeds],
-        "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(w_grid)),
+        "runs_aggregated": len(seeds) * (len(VARIANT_ORDER) + len(W_SWEEP_GRID)),
         "variants": [{"variant": v, **_entry(rows[source.get(v, (v, 0.0))])}
                      for v in VARIANT_ORDER],
-        "sweep": [{"w": g, **_entry(rows["C", g])} for g in w_grid],
+        "sweep": [{"w": g, **_entry(rows["C", g])} for g in W_SWEEP_GRID],
     }
 
 
@@ -456,8 +445,7 @@ def write_ablation_report(report: dict, out_dir: str) -> tuple[str, str]:
 
 
 def format_ablation_table(report: dict) -> str:
-    """mean±std per column: the variant table when the report has one (an
-    ablate report), then the w sweep (ablate and sweep_w reports)."""
+    """mean±std per column: the variant table, then the w sweep."""
     def table(label: str, key: str, entries) -> list[str]:
         lines = [f"{label:<10}" + "".join(f"{k:>16}" for k in REPORT_KEYS)]
         for entry in entries:
@@ -465,18 +453,5 @@ def format_ablation_table(report: dict) -> str:
             lines.append(f"{entry[key]:<10}" + "".join(f"{c:>16}" for c in cells))
         return lines
 
-    lines = []
-    if "variants" in report:
-        lines = table("row", "variant", report["variants"]) + [""]
-    return "\n".join(lines + table("w", "w", report["sweep"]))
-
-
-def sweep_w(base: RunConfig, seeds=(0, 1, 2), corpus: Corpus | None = None,
-            w_grid=W_SWEEP_GRID, log=None) -> dict:
-    """Train the full model per seed, then re-score it across the w grid
-    from the features of train()'s final eval: entry g is _run_plan's
-    (C, g) rows.  The trainings run on spawned worker processes as
-    ablate's do, under the same `if __name__ == "__main__":` guard."""
-    rows = _run_plan(base, seeds, corpus, {"C": _grid(w_grid)}, log)
-    return {"seeds": [int(s) for s in seeds],
-            "sweep": [{"w": g, **_entry(rows["C", g])} for g in w_grid]}
+    return "\n".join(table("row", "variant", report["variants"]) + [""]
+                     + table("w", "w", report["sweep"]))

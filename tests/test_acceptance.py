@@ -64,11 +64,11 @@ def test_criterion_02_stop_gradient_contracts(capfd):
 
 def test_criterion_03_loss_anchors(capfd):
     pair = contrastive_loss(T.Tensor([0.6]), T.Tensor([0.4]), LossConfig())
-    bank = ReferenceBank([7], 3, derive_rng(0, 80))
+    bank = ReferenceBank(1, 3, derive_rng(0, 80))
     bank.ref.data[:] = np.array([[1.0, 0.0, 0.0]])
     reps = T.Tensor([[0.6, 0.8, 0.0], [0.6, 0.0, 0.8]])
-    fused = fuse_loss(bank, reps, [7, 7], LossConfig())
-    guided = guide_loss(reps, bank, [7, 7], LossConfig())
+    fused = fuse_loss(bank, reps, [0, 0], LossConfig())
+    guided = guide_loss(reps, bank, [0, 0], LossConfig())
     uniform = rec_loss(T.Tensor(np.full((4, 13), 1.0 / 13.0)), [0, 5, 9, 12])
     errs = (abs(pair.item() - 2.0 * math.log(2.0)),
             abs(fused.item() - math.log(2.0)),

@@ -250,16 +250,6 @@ def test_ablate_command(tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_command(tmp_path, capsys):
-    code = main(["sweep-w", "--config", _ini(tmp_path, run_id="swp"),
-                 "--seeds", "0", "--grid", "0.0,0.5", "--quiet"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.startswith("w ")
-    assert "0.5" in out
-    assert multiprocessing.active_children() == []
-
-
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--trials", "1"]) == 0
     out = capsys.readouterr().out
@@ -306,15 +296,17 @@ def test_fingerprint_ignores_the_blas_thread_setting():
     assert len(outs[0]) == 8 and outs[0] == outs[1]
 
 
-def test_parser_rejections(tmp_path):
+def test_parser_rejections(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["train", "--config", "a.ini", "--full-scale"])
     with pytest.raises(SystemExit):
         main(["train", "--variant", "Z"])
     with pytest.raises(SystemExit, match="--seeds: expected comma-separated int"):
         main(["ablate", "--config", _ini(tmp_path), "--seeds", "x,y"])
-    with pytest.raises(SystemExit, match="--grid: expected comma-separated float"):
-        main(["sweep-w", "--config", _ini(tmp_path), "--seeds", "0", "--grid", "0.1,x"])
+    # ablate's report holds the w sweep, so there is no command for it alone
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-w", "--seeds", "0"])
+    assert exc.value.code == 2 and "invalid choice: 'sweep-w'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["no-such-command"])
 

@@ -379,7 +379,9 @@ def test_load_refuses_arrays_that_do_not_lie_back_to_back(tmp_path):
 
 def test_load_refuses_arrays_that_misstate_the_corpus(tmp_path):
     # identities come from each split's row layout, and integers are
-    # stored as float64, so a non-integer once loaded cut down
+    # stored as float64, so a non-integer once loaded cut down; a token,
+    # attribute or slot out of range once loaded, and a token inside the
+    # encoder's vocabulary would have been embedded
     path = str(tmp_path / "corpus.bin")
     save_corpus(generate_corpus(_cfg()), path)
     header, arrays = data.load_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION,
@@ -414,6 +416,10 @@ def test_load_refuses_arrays_that_misstate_the_corpus(tmp_path):
          r"array 'test\.identity' is not identities 12\.\.16 in order, 3 rows each"),
         ({"train.image": arrays["train.image"][:, :-1]},
          r"array 'train\.image' is not 36 rows of 32"),
+        (changed("train.tokens", 1, 14), r"array 'train\.tokens' has a value outside \[0, 14\)"),
+        (changed("objects", 1, 6), r"array 'objects' has a value outside \[0, 6\)"),
+        (changed("train.dropped", 0, 4), r"array 'train\.dropped' has a value outside \[0, 4\)"),
+        (changed("test.swapped", -1, -1), r"array 'test\.swapped' has a value outside \[0, 4\)"),
     ]
     for bad, error in cases:
         data.save_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION, header,

@@ -17,8 +17,8 @@ def _cfg(**kw):
     return LossConfig(**kw)
 
 
-def _bank(ids, d, rows=None, seed=0):
-    bank = ReferenceBank(ids, d, derive_rng(seed, 94))
+def _bank(m, d, rows=None, seed=0):
+    bank = ReferenceBank(m, d, derive_rng(seed, 94))
     if rows is not None:
         bank.ref.data[:] = np.asarray(rows, dtype=np.float64)
     return bank
@@ -62,7 +62,7 @@ def test_pairs_exhaustive_disjoint_row_major():
 
 
 def test_losses_refuse_empty_or_mismatched_labels():
-    bank = _bank([0, 1], 4)
+    bank = _bank(2, 4)
     empty = T.Tensor(np.empty((0, 4)))
     reps = T.Tensor(np.ones((2, 4)))
     for cfg in (_cfg(), _cfg(bank_wide_negatives=True)):
@@ -154,21 +154,21 @@ def test_align_gradients_reach_both_sides():
 # --------------------------------------------------- fusion / guidance terms
 
 def test_fuse_single_identity_anchor():
-    bank = _bank([7], 3, rows=[[1.0, 0.0, 0.0]])
+    bank = _bank(1, 3, rows=[[1.0, 0.0, 0.0]])
     reps = T.Tensor([[0.6, 0.8, 0.0], [0.6, 0.0, 0.8]])
-    loss = fuse_loss(bank, reps, [7, 7], _cfg())
+    loss = fuse_loss(bank, reps, [0, 0], _cfg())
     assert abs(loss.item() - LN2) < 1e-9
 
 
 def test_guide_single_identity_anchor():
-    bank = _bank([7], 3, rows=[[1.0, 0.0, 0.0]])
+    bank = _bank(1, 3, rows=[[1.0, 0.0, 0.0]])
     reps = T.Tensor([[0.6, 0.8, 0.0], [0.6, 0.0, 0.8]])
-    loss = guide_loss(reps, bank, [7, 7], _cfg())
+    loss = guide_loss(reps, bank, [0, 0], _cfg())
     assert abs(loss.item() - LN2) < 1e-9
 
 
 def test_fuse_updates_bank_only():
-    bank = _bank([0, 1], 4)
+    bank = _bank(2, 4)
     p = T.parameter(derive_rng(3, 94).normal(size=(4, 4)))
     reps = T.l2_normalize(p)
     loss = fuse_loss(bank, reps, [0, 0, 1, 1], _cfg())
@@ -178,7 +178,7 @@ def test_fuse_updates_bank_only():
 
 
 def test_guide_updates_features_only():
-    bank = _bank([0, 1], 4)
+    bank = _bank(2, 4)
     p = T.parameter(derive_rng(4, 94).normal(size=(4, 4)))
     reps = T.l2_normalize(p)
     loss = guide_loss(reps, bank, [0, 0, 1, 1], _cfg())
@@ -192,11 +192,11 @@ def test_guide_gather_equals_permuted_gather(wide):
     """guide_loss reads its pairs off the (features x references) matrix
     in reference-major order; that is the same elements, summed in the
     same order, as gathering them from the matrix's transpose."""
-    bank = _bank([0, 1, 2, 3], 8, seed=7)
+    bank = _bank(4, 8, seed=7)
     p = T.parameter(derive_rng(7, 94).normal(size=(6, 8)))
     labels = np.array([2, 0, 2, 0, 3, 3])
     cfg = _cfg(bank_wide_negatives=wide)
-    ref_ids = np.asarray(bank.identity_ids) if wide else np.array([2, 0, 3])
+    ref_ids = np.arange(4) if wide else np.array([2, 0, 3])
 
     reps = T.l2_normalize(p)
     new = guide_loss(reps, bank, labels, cfg)
@@ -210,7 +210,7 @@ def test_guide_gather_equals_permuted_gather(wide):
 
 
 def test_bank_wide_negatives_add_rows():
-    bank = _bank([0, 1, 2], 4, seed=5)
+    bank = _bank(3, 4, seed=5)
     reps = T.l2_normalize(T.Tensor(derive_rng(5, 94).normal(size=(2, 4))))
     labels = [0, 0]
     local = fuse_loss(bank, reps, labels, _cfg())
@@ -225,7 +225,7 @@ def test_bank_wide_negatives_add_rows():
 
 
 def test_fuse_validation():
-    bank = _bank([0], 4)
+    bank = _bank(1, 4)
     with pytest.raises(T.ShapeError):
         fuse_loss(bank, T.Tensor(np.ones(4)), [0], _cfg())
     with pytest.raises(T.ShapeError):

@@ -52,7 +52,7 @@ def test_named_parameters_unique_and_complete():
 
 def test_trend_model_size():
     cfg = trend_protocol_config()
-    model = RetrievalModel(cfg.encoder, range(cfg.corpus.n_train_identities), seed=0)
+    model = RetrievalModel(cfg.encoder, cfg.corpus.n_train_identities, seed=0)
     params = model.parameters()
     assert len(params) == 112
     assert sum(p.size for p in params) == 108_352
@@ -229,4 +229,4 @@ def test_duplicate_parameter_name_rejected():
 
 def test_model_requires_identities():
     with pytest.raises(ValueError):
-        RetrievalModel(EncoderConfig(), [], seed=0)
+        RetrievalModel(EncoderConfig(), 0, seed=0)

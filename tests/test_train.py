@@ -19,8 +19,7 @@ from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
 from refalign.tensor import Adam, NumericsError, ScheduleConfig
 import refalign.train
 from refalign.train import (METRIC_COLUMNS, REPORT_KEYS, ablate, format_ablation_table,
-                            masked_eval, sweep_w, train, train_step,
-                            write_ablation_report)
+                            masked_eval, train, train_step, write_ablation_report)
 
 _CC = CorpusConfig(n_train_identities=12, n_test_identities=6,
                    pairs_per_identity=2, n_slots=3, values_per_slot=5,
@@ -406,8 +405,8 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
     table = format_ablation_table(report)
     assert "Baseline" in table and "Full" in table and "0.9" in table
 
-    # sweep_w trains and encodes C once more and scores the same grid:
-    # its final eval twice, then the five nonzero weights
+    # a plan of C alone trains and encodes C once more and scores the same
+    # grid: its final eval twice, then the five nonzero weights
     sweep_plan = {"C": W_SWEEP_GRID}
     sweep_rows = _in_process_rows(cfg, sweep_plan, (0,), lambda line: None)
     assert len(encodes) == 3 + 1
@@ -417,8 +416,8 @@ def test_ablation_report_structure(tmp_path, monkeypatch):
     for key, metrics in _in_process_rows(cfg, sweep_plan, (1,), lambda line: None).items():
         sweep_rows[key] += metrics
     lines = []
-    sweep = sweep_w(cfg, seeds=(0, 1), log=lines.append)
-    assert [s["per_seed"] for s in sweep["sweep"]] == [sweep_rows["C", g] for g in W_SWEEP_GRID]
+    pool_rows = refalign.train._run_plan(cfg, (0, 1), None, sweep_plan, lines.append)
+    assert [pool_rows["C", g] for g in W_SWEEP_GRID] == [sweep_rows["C", g] for g in W_SWEEP_GRID]
     assert _epochs_by_run(lines) == {f"[abl-s{s}-C": list(range(1, cfg.epochs + 1))
                                      for s in (0, 1)}
     assert multiprocessing.active_children() == []
@@ -483,7 +482,7 @@ def test_ablation_job_failure_raises_with_its_run_id(tmp_path):
     blocker.write_text("")
     cfg = _cfg(tmp_path, run_id="boom", out_dir=str(blocker))
     with pytest.raises(RuntimeError, match=r"ablation job boom-s0-\w+ failed"):
-        sweep_w(cfg, seeds=(0,))
+        refalign.train._run_plan(cfg, (0,), None, {"C": W_SWEEP_GRID}, None)
     with pytest.raises(RuntimeError, match=r"ablation job boom-s\d-\w+ failed"):
         ablate(cfg, seeds=(0, 1))
     assert multiprocessing.active_children() == []
@@ -529,17 +528,11 @@ def test_ablation_refuses_bad_inputs_before_training(tmp_path, monkeypatch):
                         lambda *a, **kw: pools.append(a))
     cfg = _cfg(tmp_path, run_id="bad")
     other = generate_corpus(replace(_CC, seed=3))
-    for run, kw, match in ((ablate, dict(seeds=(0, 0)), "distinct"),
-                           (sweep_w, dict(seeds=(0, 0)), "distinct"),
-                           (sweep_w, dict(seeds=()), "non-empty"),
-                           (ablate, dict(w_grid=(0.5, 0.5)), "repeat"),
-                           (sweep_w, dict(w_grid=(0.1, 0.3, 0.1)), "repeat"),
-                           (ablate, dict(w_grid=(0.0, -0.1)), "bad weight"),
-                           (sweep_w, dict(w_grid=(float("nan"),)), "bad weight"),
-                           (sweep_w, dict(w_grid=(float("inf"),)), "bad weight"),
-                           (ablate, dict(corpus=other), "does not match")):
+    for kw, match in ((dict(seeds=(0, 0)), "distinct"),
+                      (dict(seeds=()), "non-empty"),
+                      (dict(corpus=other), "does not match")):
         with pytest.raises(ValueError, match=match):
-            run(cfg, **{"seeds": (0,), **kw})
+            ablate(cfg, **{"seeds": (0,), **kw})
     assert pools == []
 
 
