@@ -107,10 +107,9 @@ def trend_protocol_config(out_dir: str = "runs") -> RunConfig:
     competitive with the base similarity; bank-wide negatives stop the
     reference rows from collapsing onto their shared mean.
     """
-    corpus = CorpusConfig(image_noise_sigma=0.2, n_test_identities=100,
-                          pairs_per_identity=8, p_drop=0.4)
-    return RunConfig(corpus=corpus,
-                     encoder=EncoderConfig(d=32, image_input_dim=corpus.image_dim),
+    return RunConfig(corpus=CorpusConfig(image_noise_sigma=0.2, n_test_identities=100,
+                                         pairs_per_identity=8, p_drop=0.4),
+                     encoder=EncoderConfig(d=32),
                      loss=LossConfig(bank_wide_negatives=True),
                      epochs=120, eval_every=0,
                      run_id="trend", out_dir=out_dir)

@@ -27,12 +27,11 @@ N_SPECIAL = 4
 
 _CORPUS_MAGIC = b"RFCORP01"
 # v1 wrote per-pair struct records with no version field; its config
-# length sits where v2 keeps the version, so v1 files are refused
-_CORPUS_VERSION = 2
-_RAGGED = ("tokens", "dropped", "swapped")
-_CORPUS_ARRAYS = ("objects", *(f"{split}.{name}" for split in ("train", "test")
-                               for name in ("identity", "image", *_RAGGED,
-                                            *(f"{r}_len" for r in _RAGGED))))
+# length sits where later versions keep the version, so v1 files are
+# refused.  v2 also stored arrays that the config and the tokens fix.
+_CORPUS_VERSION = 3
+_CORPUS_ARRAYS = ("attributes", *(f"{split}.{name}" for split in ("train", "test")
+                                  for name in ("image", "tokens", "tokens_len")))
 
 # fixed stream tags so independent consumers of one seed never collide
 STREAM_CORPUS = 11
@@ -146,17 +145,13 @@ class Tokenizer:
 @dataclass(frozen=True)
 class Split:
     """A split as read-only arrays, one row per image/caption pair and
-    each identity's rows together, in identity order.  Row r of a ragged
-    field is field[field_offsets[r]:field_offsets[r + 1]]; dropped and
-    swapped (the slots a caption omits or mis-states) are diagnostics."""
+    each identity's rows together, in identity order.  Row r's caption
+    is tokens[tokens_offsets[r]:tokens_offsets[r + 1]]; the slots it
+    omits or mis-states show against its identity's attributes."""
     identity: np.ndarray          # (n,) int64
     image: np.ndarray             # (n, image_dim) float64
     tokens: np.ndarray            # int64 token ids
     tokens_offsets: np.ndarray    # (n + 1,) int64
-    dropped: np.ndarray           # int64 slot indices
-    dropped_offsets: np.ndarray
-    swapped: np.ndarray
-    swapped_offsets: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
@@ -214,30 +209,25 @@ def _make_split(attributes: np.ndarray, first: int, cfg: CorpusConfig, tok: Toke
     attrs = np.repeat(attributes, cfg.pairs_per_identity, axis=0)
     image = np.zeros((len(attrs), cfg.image_dim))
     image[np.arange(len(attrs))[:, None], np.arange(K) * V + attrs] = 1.0   # noise added below
-    ragged = {}                         # Split's ragged fields, as lists
-    for name in _RAGGED:
-        ragged.update({name: [], f"{name}_offsets": [0]})
+    tokens, offsets = [], [0]
     for row, values in zip(image, attrs.tolist()):
         row[:K * V] += rng.normal(0.0, cfg.image_noise_sigma, size=K * V)
         row[K * V:] = rng.normal(0.0, 1.0, size=cfg.background_dims)
-        dropped, swapped, mentions = [], [], []
+        mentions = []
         for s, v in enumerate(values):
             if rng.random() < cfg.p_drop:
-                dropped.append(s)
                 continue
             if rng.random() < cfg.p_swap:
                 wrong = int(rng.integers(0, V - 1))
                 if wrong >= v:
                     wrong += 1
-                swapped.append(s)
                 mentions.append((s, wrong))
             else:
                 mentions.append((s, v))
-        for name, got in zip(_RAGGED, (tok.encode(mentions).tolist(), dropped, swapped)):
-            ragged[name] += got
-            ragged[f"{name}_offsets"].append(len(ragged[name]))
+        tokens += tok.encode(mentions).tolist()
+        offsets.append(len(tokens))
     return Split(_layout(first, len(attributes), cfg), image,
-                 **{key: np.array(values, dtype=np.int64) for key, values in ragged.items()})
+                 np.array(tokens, dtype=np.int64), np.array(offsets, dtype=np.int64))
 
 
 def generate_corpus(cfg: CorpusConfig) -> Corpus:
@@ -287,7 +277,7 @@ def sample_batch(corpus: Corpus, identities_per_batch: int,
 def exact_fields(cls, payload, name: str) -> None:
     """The one check on a stored config section: it must be an object
     holding exactly cls's fields, so a missing field is never filled
-    with its default and an unknown one is never dropped."""
+    with its default and an unknown one is never ignored."""
     if not isinstance(payload, dict):
         raise ValueError(f"config [{name}]: expected an object, got {type(payload).__name__}")
     want = [f.name for f in fields(cls)]
@@ -343,8 +333,10 @@ def load_arrays(path: str, magic: bytes, version: int,
     in.  A manifest that is not a JSON object with an `arrays` list, or
     an entry that is not an object with a string name, an integer offset
     and a non-negative integer-list shape, fails as a bad manifest; so
-    do arrays that do not lie back to back to the file's end."""
+    do arrays that do not lie back to back to the file's end.  An array
+    the file is too short for fails before its buffer is allocated."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         head = f.read(16)
         if len(head) < 16:
             raise ValueError(f"{what}: truncated in header ({len(head)} of 16 bytes)")
@@ -375,30 +367,26 @@ def load_arrays(path: str, magic: bytes, version: int,
                                  f"{entry['offset']}, not {end}")
             shape = tuple(entry["shape"])
             count = math.prod(shape)
-            arr = np.fromfile(f, dtype="<f8", count=count)
-            if arr.size != count:
+            if 16 + mlen + end + 8 * count > size:
                 raise ValueError(f"{what}: truncated in array {entry['name']!r}")
-            arrays[entry["name"]] = arr.reshape(shape)
+            arrays[entry["name"]] = np.fromfile(f, dtype="<f8", count=count).reshape(shape)
             end += 8 * count
-        extra = os.fstat(f.fileno()).st_size - (16 + mlen + end)
+        extra = size - (16 + mlen + end)
         if extra:
             raise ValueError(f"{what}: {extra} bytes past the last array")
     return header, arrays
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """save_arrays at version 2: the config in the header; `objects` rows
-    of id plus attributes; per split, `identity`, `image` (n, image_dim),
-    and each of tokens/dropped/swapped as its concatenated values plus
-    per-pair lengths (`<field>_len`).  Every integer is small, so exact
+    """save_arrays at version 3: the config in the header, then only what
+    it does not fix: `attributes` (identities, n_slots) and, per split,
+    `image` (n, image_dim) and `tokens` as its concatenated values plus
+    per-pair lengths (`tokens_len`).  Every integer is small, so exact
     in float64."""
-    arrays = {"objects": np.column_stack([np.arange(len(corpus.attributes)), corpus.attributes])}
+    arrays = {"attributes": corpus.attributes}
     for split, pairs in (("train", corpus.train_pairs), ("test", corpus.test_pairs)):
-        arrays[f"{split}.identity"] = pairs.identity
-        arrays[f"{split}.image"] = pairs.image
-        for name in _RAGGED:
-            arrays[f"{split}.{name}"] = getattr(pairs, name)
-            arrays[f"{split}.{name}_len"] = np.diff(getattr(pairs, f"{name}_offsets"))
+        arrays.update({f"{split}.image": pairs.image, f"{split}.tokens": pairs.tokens,
+                       f"{split}.tokens_len": np.diff(pairs.tokens_offsets)})
     save_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, {"config": asdict(corpus.config)}, arrays)
 
 
@@ -407,14 +395,22 @@ def _refuse_outside(name: str, values: np.ndarray, stop: int) -> None:
         raise ValueError(f"corpus file: array {name!r} has a value outside [0, {stop})")
 
 
+def refuse_non_finite(what: str, name: str, values: np.ndarray) -> None:
+    """Refuse a NaN or inf in a loaded array; min and max propagate both,
+    so no temporary the size of values is made."""
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{what}: array {name!r} has a non-finite value")
+
+
 def load_corpus(path: str) -> Corpus:
     """Read a save_corpus file; fails naming the header, manifest or array
     a cut file ends in, a missing array, a non-integer in an integer
-    array, `objects` ids not 0..n-1, an `identity` not in the config's
-    row layout, an `image` or `<field>_len` not of one row per pair or
-    whose lengths do not split their values, a token, attribute or slot
-    outside the config's range, and a header config without exactly
-    CorpusConfig's fields."""
+    array, `attributes` not of one row per identity, an `image` not of
+    one row per pair or with a non-finite value, a `tokens_len` not of
+    one length per pair or whose lengths do not split their tokens, a
+    token or attribute outside the config's range, and a header config
+    without exactly CorpusConfig's fields.  Each row's identity comes
+    from the config's row layout, as in generation."""
     header, arrays = load_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, "corpus file")
     exact_fields(CorpusConfig, header.get("config"), "corpus")
     ints = {}
@@ -428,30 +424,22 @@ def load_corpus(path: str) -> Corpus:
                 raise ValueError(f"corpus file: non-integer value in array {name!r}")
     cfg = CorpusConfig(**header["config"])
     n_train, total = cfg.n_train_identities, cfg.n_train_identities + cfg.n_test_identities
-    objects = ints["objects"]
-    if objects.shape != (total, 1 + cfg.n_slots) or np.any(objects[:, 0] != np.arange(total)):
-        raise ValueError(f"corpus file: array 'objects' is not ids 0..{total - 1} "
-                         f"with {cfg.n_slots} attributes each")
-    _refuse_outside("objects", objects[:, 1:], cfg.values_per_slot)
+    attributes = ints["attributes"]
+    if attributes.shape != (total, cfg.n_slots):
+        raise ValueError(f"corpus file: array 'attributes' is not {total} rows of {cfg.n_slots}")
+    _refuse_outside("attributes", attributes, cfg.values_per_slot)
     splits = []
     for split, first, count in (("train", 0, n_train), ("test", n_train, total - n_train)):
-        identity, image = ints[f"{split}.identity"], arrays[f"{split}.image"]
-        if not np.array_equal(identity, _layout(first, count, cfg)):
-            raise ValueError(f"corpus file: array '{split}.identity' is not identities "
-                             f"{first}..{first + count - 1} in order, "
-                             f"{cfg.pairs_per_identity} rows each")
+        identity, image = _layout(first, count, cfg), arrays[f"{split}.image"]
         if image.shape != (identity.size, cfg.image_dim):
             raise ValueError(f"corpus file: array '{split}.image' is not "
                              f"{identity.size} rows of {cfg.image_dim}")
-        ragged = {}
-        for name in _RAGGED:
-            values, lengths = ints[f"{split}.{name}"], ints[f"{split}.{name}_len"]
-            if lengths.shape != identity.shape or lengths.sum() != values.size \
-                    or np.any(lengths < 0):
-                raise ValueError(f"corpus file: {split}.{name}_len does not split "
-                                 f"{values.size} values")
-            _refuse_outside(f"{split}.{name}", values,
-                            cfg.vocab_size if name == "tokens" else cfg.n_slots)
-            ragged.update({name: values, f"{name}_offsets": np.concatenate([[0], np.cumsum(lengths)])})
-        splits.append(Split(identity, image, **ragged))
-    return Corpus(cfg, objects[:, 1:], *splits)
+        refuse_non_finite("corpus file", f"{split}.image", image)
+        tokens, lengths = ints[f"{split}.tokens"], ints[f"{split}.tokens_len"]
+        if lengths.shape != identity.shape or lengths.sum() != tokens.size \
+                or np.any(lengths < 0):
+            raise ValueError(f"corpus file: {split}.tokens_len does not split "
+                             f"{tokens.size} values")
+        _refuse_outside(f"{split}.tokens", tokens, cfg.vocab_size)
+        splits.append(Split(identity, image, tokens, np.concatenate([[0], np.cumsum(lengths)])))
+    return Corpus(cfg, attributes, *splits)

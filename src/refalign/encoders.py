@@ -30,7 +30,6 @@ class EncoderConfig:
     n_heads: int = 4
     vocab_size: int = 64
     max_seq_len: int = 24
-    image_input_dim: int = 64
 
     def __post_init__(self):
         if self.d < 1 or self.d % self.n_heads != 0:
@@ -39,8 +38,8 @@ class EncoderConfig:
             raise ValueError(f"encoder: vocab_size={self.vocab_size} leaves no room for specials")
         if self.max_seq_len < 2:
             raise ValueError(f"encoder: max_seq_len={self.max_seq_len} cannot hold BOS+EOS")
-        if self.n_blocks < 1 or self.image_input_dim < 1:
-            raise ValueError("encoder: n_blocks and image_input_dim must be positive")
+        if self.n_blocks < 1:
+            raise ValueError(f"encoder: n_blocks={self.n_blocks} must be positive")
 
 
 def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -200,11 +199,12 @@ class TextEncoder:
 
 
 class ImageEncoder:
-    """Two-layer tanh perceptron onto the shared unit sphere."""
+    """Two-layer tanh perceptron from input_dim features onto the shared
+    unit sphere."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.w1 = T.parameter(linear_init(rng, cfg.image_input_dim, cfg.d), "image.w1")
+    def __init__(self, cfg: EncoderConfig, input_dim: int, rng: np.random.Generator):
+        self.input_dim = input_dim
+        self.w1 = T.parameter(linear_init(rng, input_dim, cfg.d), "image.w1")
         self.b1 = T.parameter(np.zeros(cfg.d), "image.b1")
         self.w2 = T.parameter(linear_init(rng, cfg.d, cfg.d), "image.w2")
         self.b2 = T.parameter(np.zeros(cfg.d), "image.b2")
@@ -215,8 +215,8 @@ class ImageEncoder:
     def encode_batch(self, feats) -> Tensor:
         """-> (B, d) unit rows."""
         x = Tensor(feats)
-        if x.ndim != 2 or x.shape[1] != self.cfg.image_input_dim:
-            raise T.ShapeError(f"image encoder: expected (B, {self.cfg.image_input_dim}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise T.ShapeError(f"image encoder: expected (B, {self.input_dim}), got {x.shape}")
         h = T.tanh(linear(x, self.w1, self.b1))
         return T.l2_normalize(linear(h, self.w2, self.b2))
 

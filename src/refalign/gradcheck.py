@@ -261,8 +261,8 @@ def _check_total_loss_linearity(rng):
 
 def _check_image_encoder(rng):
     cfg = EncoderConfig(d=6, n_blocks=1, n_heads=2, vocab_size=8,
-                        max_seq_len=4, image_input_dim=5)
-    enc = ImageEncoder(cfg, rng)
+                        max_seq_len=4)
+    enc = ImageEncoder(cfg, 5, rng)
     x = rng.normal(size=(3, 5))
     w = _p(rng, 3, 6)
     return finite_difference_check(
@@ -271,7 +271,7 @@ def _check_image_encoder(rng):
 
 def _check_text_encoder(rng):
     cfg = EncoderConfig(d=8, n_blocks=1, n_heads=2, vocab_size=12,
-                        max_seq_len=6, image_input_dim=5)
+                        max_seq_len=6)
     enc = TextEncoder(cfg, rng)
     seqs = [np.array([2, 5, 7, 3]), np.array([2, 9, 3])]
 

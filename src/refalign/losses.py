@@ -141,7 +141,7 @@ def rec_loss(probs: Tensor, targets) -> Tensor:
 def total_loss(align: Tensor, fuse: Tensor | None, rec: Tensor | None,
                guide: Tensor | None, cfg: LossConfig) -> Tensor:
     """align + l_fuse * fuse + l_rec * rec + l_guide * guide; absent parts
-    are simply dropped (that is what the ablation flags do)."""
+    are simply left out (that is what the ablation flags do)."""
     total = align
     for part, weight in ((fuse, cfg.fusion_weight),
                          (rec, cfg.reconstruction_weight),

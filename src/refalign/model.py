@@ -11,26 +11,27 @@ from __future__ import annotations
 import numpy as np
 
 from .data import (Corpus, PairBatch, STREAM_MODEL, derive_rng, load_arrays,
-                   save_arrays)
+                   refuse_non_finite, save_arrays)
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .reference import LocalReconstructor, ReferenceBank
 from .tensor import Adam, ShapeError, Tensor
 
 _CKPT_MAGIC = b"RFCKPT01"
-# v2 dropped the dead cross-attention and key-bias tensors; Adam state is
+# v2 removed the dead cross-attention and key-bias tensors; Adam state is
 # stored by parameter position, so a v1 file cannot be mapped onto v2
 _CKPT_VERSION = 2
 
 
 class RetrievalModel:
-    """Encoders + reconstructor + reference bank under one seed."""
+    """Encoders + reconstructor + reference bank under one seed; the image
+    encoder reads image_dim features."""
 
-    def __init__(self, cfg: EncoderConfig, n_identities: int, seed: int):
+    def __init__(self, cfg: EncoderConfig, image_dim: int, n_identities: int, seed: int):
         rng = derive_rng(seed, STREAM_MODEL)
         self.cfg = cfg
         self.seed = int(seed)
         self.text_encoder = TextEncoder(cfg, rng)
-        self.image_encoder = ImageEncoder(cfg, rng)
+        self.image_encoder = ImageEncoder(cfg, image_dim, rng)
         self.reconstructor = LocalReconstructor(cfg.d, cfg.n_heads, cfg.vocab_size, rng)
         self.bank = ReferenceBank(n_identities, cfg.d, rng)
 
@@ -59,13 +60,10 @@ def model_for_corpus(cfg: EncoderConfig, corpus: Corpus, seed: int) -> Retrieval
     if corpus.config.vocab_size > cfg.vocab_size:
         raise ValueError(f"model: corpus needs vocab {corpus.config.vocab_size}, "
                          f"encoder provides {cfg.vocab_size}")
-    if corpus.config.image_dim != cfg.image_input_dim:
-        raise ValueError(f"model: corpus image dim {corpus.config.image_dim} != "
-                         f"encoder input {cfg.image_input_dim}")
     if corpus.config.max_tokens > cfg.max_seq_len:
         raise ValueError(f"model: corpus captions reach {corpus.config.max_tokens} tokens, "
                          f"encoder caps at {cfg.max_seq_len}")
-    return RetrievalModel(cfg, corpus.config.n_train_identities, seed)
+    return RetrievalModel(cfg, corpus.config.image_dim, corpus.config.n_train_identities, seed)
 
 
 # -------------------------------------------------------------- checkpoints
@@ -98,15 +96,16 @@ def read_checkpoint(path: str) -> tuple[int, dict, dict[str, np.ndarray]]:
 
 def load_checkpoint(path: str, params: dict[str, Tensor],
                     optimizer: Adam | None = None) -> tuple[int, dict]:
-    """Restore parameters (and optimizer state) in place.  Every name and
-    shape is checked before anything is written, so a checkpoint with a
-    missing parameter, a misshapen one, or an array that is neither a
-    parameter nor `adam.*` state is refused and leaves the model as it
-    was."""
+    """Restore parameters (and optimizer state) in place.  Every name,
+    shape and value is checked before anything is written, so one with a
+    missing parameter, a misshapen one, an array that is neither a
+    parameter nor `adam.*` state, or a non-finite value in any array is
+    refused and leaves the model as it was."""
     step, meta, arrays = read_checkpoint(path)
-    for name in arrays:
+    for name, arr in arrays.items():
         if name not in params and not name.startswith("adam."):
             raise KeyError(f"checkpoint: array {name!r} is not a model parameter")
+        refuse_non_finite("checkpoint", name, arr)
     for name, p in params.items():
         if name not in arrays:
             raise KeyError(f"checkpoint: parameter {name!r} missing")

@@ -65,8 +65,8 @@ def mask_tokens(tokens, ratio: float, rng: np.random.Generator) -> MaskedText:
     ratio is positive) with MASK.
 
     Only non-special tokens are maskable; BOS, EOS, and PAD never are.
-    Ratio 0 and a sequence with no maskable tokens (a fully dropped text
-    is legal) both come back unchanged with empty positions.
+    Ratio 0 and a sequence with no maskable tokens (a text with every
+    slot left out is legal) both come back unchanged with empty positions.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:

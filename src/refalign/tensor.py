@@ -77,7 +77,7 @@ class Tensor:
             t._parents = tuple(parents)
             t._vjps = tuple(vjps)
         else:
-            # dead subgraphs are dropped eagerly so constants stay cheap
+            # dead subgraphs are released eagerly so constants stay cheap
             t.requires_grad = False
             t._parents = ()
             t._vjps = ()

@@ -100,8 +100,8 @@ def _reconstruct_masked(model: RetrievalModel, token_seqs, labels,
     caption's identity reference.
 
     -> (per-position vocabulary probabilities, target token ids), or
-    None when no caption had a maskable token (a fully dropped caption is
-    legal).
+    None when no caption had a maskable token (a caption with every slot
+    left out is legal).
     """
     masked = [mask_tokens(seq, ratio, rng) for seq, rng in zip(token_seqs, rngs)]
     if all(m.positions.size == 0 for m in masked):

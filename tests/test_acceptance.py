@@ -137,7 +137,7 @@ def test_criterion_05_refinement_consistency(capfd):
                       pairs_per_identity=2, n_slots=3, values_per_slot=5,
                       background_dims=4, seed=6)
     corpus = generate_corpus(cc)
-    enc = EncoderConfig(d=32, n_heads=4, image_input_dim=cc.image_dim)
+    enc = EncoderConfig(d=32, n_heads=4)
     model = model_for_corpus(enc, corpus, seed=0)
     q, _ = np.linalg.qr(derive_rng(0, 82).normal(size=(32, 32)))
     model.bank.ref.data[:] = q
@@ -154,7 +154,7 @@ def test_criterion_05_refinement_consistency(capfd):
                           pairs_per_identity=4, n_slots=4, values_per_slot=5,
                           background_dims=4, seed=7)
     big = generate_corpus(cc_big)
-    model_big = model_for_corpus(replace(enc, image_input_dim=cc_big.image_dim),
+    model_big = model_for_corpus(replace(enc),
                                  big, seed=0)
     assert len(big.test_pairs) == 1000
 
@@ -200,7 +200,7 @@ def test_criterion_08_reconstruction_efficacy(tmp_path, capfd):
                       pairs_per_identity=4, p_drop=0.0, p_swap=0.0)
     overfit_cfg = RunConfig(
         corpus=cc,
-        encoder=EncoderConfig(d=32, image_input_dim=cc.image_dim),
+        encoder=EncoderConfig(d=32),
         batch_identities=1, batch_pairs=2, epochs=300, warmup_epochs=2,
         eval_every=0, run_id="overfit",
         out_dir=str(tmp_path / "overfit")).with_variant("C")
@@ -213,7 +213,7 @@ def test_criterion_08_reconstruction_efficacy(tmp_path, capfd):
                        pairs_per_identity=2)
     base = RunConfig(
         corpus=cc2,
-        encoder=EncoderConfig(d=32, image_input_dim=cc2.image_dim),
+        encoder=EncoderConfig(d=32),
         batch_identities=8, batch_pairs=2, epochs=10, warmup_epochs=2,
         eval_every=0, run_id="lam",
         out_dir=str(tmp_path / "lam")).with_variant("C")
@@ -238,8 +238,7 @@ def test_criterion_09_determinism(tmp_path, capfd):
                       pairs_per_identity=2, n_slots=3, values_per_slot=5,
                       background_dims=4, seed=2)
     cfg = RunConfig(corpus=cc,
-                    encoder=EncoderConfig(d=16, n_heads=4,
-                                          image_input_dim=cc.image_dim),
+                    encoder=EncoderConfig(d=16, n_heads=4),
                     epochs=3, warmup_epochs=1, batch_identities=4,
                     batch_pairs=2, eval_every=0, run_id="rerun",
                     out_dir=str(tmp_path / "runs")).with_variant("Full")

@@ -28,8 +28,7 @@ _CC = CorpusConfig(n_train_identities=10, n_test_identities=4,
 
 def _ini(tmp_path, **kw):
     base = dict(corpus=_CC,
-                encoder=EncoderConfig(d=16, n_heads=4,
-                                      image_input_dim=_CC.image_dim),
+                encoder=EncoderConfig(d=16, n_heads=4),
                 epochs=3, warmup_epochs=1, batch_identities=5, batch_pairs=2,
                 eval_every=0, run_id="cli", out_dir=str(tmp_path / "runs"))
     base.update(kw)
@@ -154,8 +153,7 @@ def test_eval_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("missing", ["config"])
 def test_eval_names_a_missing_meta_field(tmp_path, missing):
-    cfg = RunConfig(corpus=_CC, encoder=EncoderConfig(d=16, n_heads=4,
-                                                      image_input_dim=_CC.image_dim),
+    cfg = RunConfig(corpus=_CC, encoder=EncoderConfig(d=16, n_heads=4),
                     warmup_epochs=1, batch_identities=5)
     model = model_for_corpus(cfg.encoder, generate_corpus(_CC), seed=0)
     meta = {"config": dataclasses.asdict(cfg), "metrics": []}

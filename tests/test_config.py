@@ -75,7 +75,6 @@ def test_full_scale_protocol():
 def test_trend_protocol_is_buildable():
     cfg = trend_protocol_config()
     assert cfg.epochs > cfg.warmup_epochs
-    assert cfg.encoder.image_input_dim == cfg.corpus.image_dim
     assert cfg.loss.bank_wide_negatives
     assert cfg.eval_every == 0
 
@@ -91,7 +90,7 @@ def test_write_read_round_trip(tmp_path):
     cfg = RunConfig(
         corpus=CorpusConfig(n_train_identities=24, n_test_identities=6,
                             pairs_per_identity=3, p_drop=0.45, seed=5),
-        encoder=EncoderConfig(d=32, n_heads=8, image_input_dim=64),
+        encoder=EncoderConfig(d=32, n_heads=8),
         loss=LossConfig(guidance_weight=2.0, bank_wide_negatives=True),
         epochs=7, warmup_epochs=3, peak_lr=5e-4, batch_identities=6,
         batch_pairs=3, eval_every=2, seed=11, run_id="trip", variant="B")
@@ -123,6 +122,13 @@ def test_read_config_rejects_unknown_names(tmp_path):
     with pytest.raises(KeyError):
         read_config(str(bad_section))
 
+    # the image encoder's input width comes from the corpus; the field
+    # that once restated it is refused by name
+    stale = tmp_path / "stale.ini"
+    stale.write_text(text.replace("[encoder]\n", "[encoder]\nimage_input_dim = 64\n"))
+    with pytest.raises(KeyError, match=r"unknown key 'image_input_dim' in \[encoder\]"):
+        read_config(str(stale))
+
 
 def test_bool_coercion(tmp_path):
     path = tmp_path / "bools.ini"
@@ -153,6 +159,10 @@ def test_dict_round_trip():
     payload = config_as_dict(cfg)
     payload["corpus"]["colour"] = 1
     with pytest.raises(ValueError, match=r"\[corpus\]: unknown fields \['colour'\]"):
+        config_from_dict(payload)
+    payload = config_as_dict(cfg)
+    payload["encoder"]["image_input_dim"] = cfg.corpus.image_dim
+    with pytest.raises(ValueError, match=r"\[encoder\]: unknown fields \['image_input_dim'\]"):
         config_from_dict(payload)
     # and a section must be an object at all
     payload = config_as_dict(cfg)

@@ -115,16 +115,21 @@ def _arrays(corpus) -> dict:
     return out
 
 
-def _rows(pairs, name) -> list[np.ndarray]:
-    """Row by row values of a ragged split field."""
-    values, offsets = getattr(pairs, name), getattr(pairs, f"{name}_offsets")
-    return [values[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+def _captions(corpus, pairs=None):
+    """(attribute list, token ids) of every row of pairs, train by default."""
+    pairs = corpus.train_pairs if pairs is None else pairs
+    return zip(corpus.attributes[pairs.identity].tolist(), pairs.token_seqs(range(len(pairs))))
 
 
-def _captions(corpus):
-    """(attribute list, token ids) of every train row."""
-    pairs = corpus.train_pairs
-    return zip(corpus.attributes[pairs.identity].tolist(), _rows(pairs, "tokens"))
+def _ambiguity(corpus, pairs=None) -> list[tuple[list[int], list[int]]]:
+    """(dropped, swapped) slots of every row: those its caption does not
+    mention, and those it mentions with a value its identity lacks."""
+    out = []
+    for attrs, tokens in _captions(corpus, pairs):
+        said = dict(corpus.tokenizer.decode(tokens))
+        out.append(([s for s in range(len(attrs)) if s not in said],
+                    [s for s, v in said.items() if v != attrs[s]]))
+    return out
 
 
 def test_generation_deterministic():
@@ -168,15 +173,15 @@ def test_clean_captions_mention_every_slot():
     corpus = generate_corpus(_cfg(p_drop=0.0, p_swap=0.0))
     for attrs, tokens in _captions(corpus):
         assert corpus.tokenizer.decode(tokens) == list(enumerate(attrs))
-    for name in ("dropped", "swapped"):
-        assert all(row.size == 0 for row in _rows(corpus.train_pairs, name))
+    assert all(dropped == swapped == [] for dropped, swapped in _ambiguity(corpus))
 
 
 def test_full_dropout_leaves_frame_tokens_only():
     corpus = generate_corpus(_cfg(p_drop=1.0))
     for _, tokens in _captions(corpus):
         np.testing.assert_array_equal(tokens, [BOS_ID, EOS_ID])
-    assert all(row.size == corpus.config.n_slots for row in _rows(corpus.train_pairs, "dropped"))
+    assert all(dropped == list(range(corpus.config.n_slots)) and swapped == []
+               for dropped, swapped in _ambiguity(corpus))
 
 
 def test_ambiguity_rates_match_configuration():
@@ -185,8 +190,9 @@ def test_ambiguity_rates_match_configuration():
     corpus = generate_corpus(cfg)
     slots = cfg.n_slots * len(corpus.train_pairs)
     assert slots >= 10_000
-    n_drop = corpus.train_pairs.dropped.size
-    n_swap = corpus.train_pairs.swapped.size
+    rows = _ambiguity(corpus)
+    n_drop = sum(len(dropped) for dropped, _ in rows)
+    n_swap = sum(len(swapped) for _, swapped in rows)
     assert abs(n_drop / slots - 0.3) < 0.02
     assert abs(n_swap / (slots - n_drop) - 0.1) < 0.02
 
@@ -285,9 +291,9 @@ def _parent_layout(corpus) -> bytes:
     out += [struct.pack("<i", i) + ints("h", a) for i, a in enumerate(corpus.attributes.tolist())]
     out.append(struct.pack("<II", len(corpus.train_pairs), len(corpus.test_pairs)))
     for pairs in (corpus.train_pairs, corpus.test_pairs):
-        for ident, image, tokens, dropped, swapped in zip(
+        for ident, image, tokens, (dropped, swapped) in zip(
                 pairs.identity.tolist(), pairs.image,
-                *(_rows(pairs, name) for name in ("tokens", "dropped", "swapped"))):
+                pairs.token_seqs(range(len(pairs))), _ambiguity(corpus, pairs)):
             out += [struct.pack(f"<iI{len(tokens)}i", ident, len(tokens), *tokens),
                     struct.pack(f"<I{len(image)}d", len(image), *image),
                     ints("h", dropped), ints("h", swapped)]
@@ -295,15 +301,15 @@ def _parent_layout(corpus) -> bytes:
 
 
 def test_trend_corpus_file_bytes_are_pinned(tmp_path):
-    # the bytes of format version 2, from generation and from a reload
+    # the bytes of format version 3, from generation and from a reload
     path, again = tmp_path / "corpus.bin", tmp_path / "again.bin"
     save_corpus(generate_corpus(trend_protocol_config().corpus), str(path))
     save_corpus(load_corpus(str(path)), str(again))
     for saved in (path, again):
         blob = saved.read_bytes()
-        assert len(blob) == 1_552_488
+        assert len(blob) == 1_437_923
         assert hashlib.sha256(blob).hexdigest() == \
-            "c35b05dc125769676e4a244f951f13ac86c8c8e5ae704e66eac2dc2940cc4d5a"
+            "e80750caba49a15d6293db455f3be3c9a9d8d2b88b7462b6f389177e050fd7da"
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -315,6 +321,19 @@ def test_load_rejects_foreign_file(tmp_path):
     # version now sits
     path.write_bytes(_parent_layout(generate_corpus(_cfg())))
     with pytest.raises(ValueError, match=r"corpus file: unsupported version \d+$"):
+        load_corpus(str(path))
+
+
+def test_load_refuses_a_version_2_file(tmp_path):
+    # v2 stored each row's identity and slot diagnostics beside the
+    # captions; its arrays are not the ones this version reads
+    path = tmp_path / "corpus.bin"
+    save_corpus(generate_corpus(_cfg()), str(path))
+    blob = bytearray(path.read_bytes())
+    assert blob[8:12] == struct.pack("<I", 3)
+    blob[8:12] = struct.pack("<I", 2)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"^corpus file: unsupported version 2$"):
         load_corpus(str(path))
 
 
@@ -377,11 +396,31 @@ def test_load_refuses_arrays_that_do_not_lie_back_to_back(tmp_path):
             data.load_arrays(path, b"TESTARR1", 1, "test file")
 
 
+def test_load_refuses_a_shape_the_file_cannot_hold_before_allocating(tmp_path):
+    # np.fromfile allocates its count before it reads, so a manifest that
+    # claims 2**40 values once asked for 8 TiB instead of naming the array
+    path = str(tmp_path / "two.bin")
+    data.save_arrays(path, b"TESTARR1", 1, {},
+                     {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([10.0, 11.0, 12.0])})
+    blob = open(path, "rb").read()
+    mlen = int.from_bytes(blob[12:16], "little")
+    manifest = blob[16:16 + mlen]
+    for name, offset, shape in (("a", b"0", b"[1099511627776]"),
+                                ("b", b"24", b"[1048576,1048576]")):
+        entry = b'"offset":%s,"shape":' % offset
+        edited = manifest.replace(entry + b"[3]", entry + shape)
+        assert edited != manifest
+        with open(path, "wb") as f:
+            f.write(blob[:12] + struct.pack("<I", len(edited)) + edited + blob[16 + mlen:])
+        with pytest.raises(ValueError, match=rf"^test file: truncated in array '{name}'$"):
+            data.load_arrays(path, b"TESTARR1", 1, "test file")
+
+
 def test_load_refuses_arrays_that_misstate_the_corpus(tmp_path):
-    # identities come from each split's row layout, and integers are
-    # stored as float64, so a non-integer once loaded cut down; a token,
-    # attribute or slot out of range once loaded, and a token inside the
-    # encoder's vocabulary would have been embedded
+    # integers are stored as float64, so a non-integer once loaded cut
+    # down; a token or attribute out of range once loaded, and a token
+    # inside the encoder's vocabulary would have been embedded; a NaN or
+    # inf image value once loaded and reached the encoders
     path = str(tmp_path / "corpus.bin")
     save_corpus(generate_corpus(_cfg()), path)
     header, arrays = data.load_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION,
@@ -404,22 +443,17 @@ def test_load_refuses_arrays_that_misstate_the_corpus(tmp_path):
     cases += [(changed(name, 0, arrays[name].flat[0] + 0.5),
                rf"non-integer value in array '{re.escape(name)}'")
               for name in data._CORPUS_ARRAYS if not name.endswith(".image")]
-    assert len(cases) == 4 + 15 and all(arrays[name].size for name in data._CORPUS_ARRAYS)
+    assert len(cases) == 4 + 5 and all(arrays[name].size for name in data._CORPUS_ARRAYS)
     cases += [
         (changed("test.tokens", -1, np.nan), r"non-integer value in array 'test\.tokens'"),
-        (changed("objects", 0, 7), r"array 'objects' is not ids 0\.\.16 with 4 attributes each"),
-        ({"objects": arrays["objects"][:, :-1]},
-         r"array 'objects' is not ids 0\.\.16 with 4 attributes each"),
-        (changed("train.identity", 1, 13),
-         r"array 'train\.identity' is not identities 0\.\.11 in order, 3 rows each"),
-        ({"test.identity": arrays["test.identity"][::-1]},
-         r"array 'test\.identity' is not identities 12\.\.16 in order, 3 rows each"),
+        ({"attributes": arrays["attributes"][:, :-1]}, r"array 'attributes' is not 17 rows of 4"),
+        ({"attributes": arrays["attributes"][:-1]}, r"array 'attributes' is not 17 rows of 4"),
         ({"train.image": arrays["train.image"][:, :-1]},
          r"array 'train\.image' is not 36 rows of 32"),
+        (changed("train.image", 5, np.nan), r"array 'train\.image' has a non-finite value"),
+        (changed("test.image", -1, -np.inf), r"array 'test\.image' has a non-finite value"),
         (changed("train.tokens", 1, 14), r"array 'train\.tokens' has a value outside \[0, 14\)"),
-        (changed("objects", 1, 6), r"array 'objects' has a value outside \[0, 6\)"),
-        (changed("train.dropped", 0, 4), r"array 'train\.dropped' has a value outside \[0, 4\)"),
-        (changed("test.swapped", -1, -1), r"array 'test\.swapped' has a value outside \[0, 4\)"),
+        (changed("attributes", 1, 6), r"array 'attributes' has a value outside \[0, 6\)"),
     ]
     for bad, error in cases:
         data.save_arrays(path, data._CORPUS_MAGIC, data._CORPUS_VERSION, header,

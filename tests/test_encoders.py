@@ -8,8 +8,7 @@ from refalign.encoders import (AttentionBlock, EncoderConfig, ImageEncoder,
 
 
 def _cfg(**kw):
-    base = dict(d=16, n_blocks=2, n_heads=4, vocab_size=20, max_seq_len=12,
-                image_input_dim=10)
+    base = dict(d=16, n_blocks=2, n_heads=4, vocab_size=20, max_seq_len=12)
     base.update(kw)
     return EncoderConfig(**base)
 
@@ -19,7 +18,7 @@ def _text(seed=0, **kw):
 
 
 def _image(seed=0, **kw):
-    return ImageEncoder(_cfg(**kw), derive_rng(seed, 92))
+    return ImageEncoder(_cfg(**kw), 10, derive_rng(seed, 92))
 
 
 def _seq(*body):
@@ -37,8 +36,6 @@ def test_config_validation():
         _cfg(max_seq_len=1)
     with pytest.raises(ValueError):
         _cfg(n_blocks=0)
-    with pytest.raises(ValueError):
-        _cfg(image_input_dim=0)
 
 
 # ------------------------------------------------------------ attention core

@@ -128,7 +128,7 @@ def test_ranking_equals_stable_argsort_on_corpus_i2t(monkeypatch):
                       pairs_per_identity=4, n_slots=3, values_per_slot=5,
                       background_dims=4, p_drop=0.5, seed=8)
     corpus = generate_corpus(cc)
-    model = model_for_corpus(EncoderConfig(d=16, image_input_dim=cc.image_dim),
+    model = model_for_corpus(EncoderConfig(d=16),
                              corpus, seed=2)
     text, image, _ = encode_split(model, corpus, "test")
     scores = refinement.cosine_scores(image, text)
@@ -259,7 +259,7 @@ def _micro_setup():
                       pairs_per_identity=2, seed=3)
     corpus = generate_corpus(cc)
     cfg = RunConfig(corpus=cc,
-                    encoder=EncoderConfig(d=16, image_input_dim=cc.image_dim),
+                    encoder=EncoderConfig(d=16),
                     batch_identities=4, epochs=3, warmup_epochs=1)
     model = model_for_corpus(cfg.encoder, corpus, seed=0)
     return model, corpus
@@ -308,7 +308,7 @@ def test_encode_split_chunks_match_one_batch():
     cc = CorpusConfig(n_train_identities=4, n_test_identities=35,
                       pairs_per_identity=2, seed=5)
     corpus = generate_corpus(cc)
-    model = model_for_corpus(EncoderConfig(d=16, image_input_dim=cc.image_dim),
+    model = model_for_corpus(EncoderConfig(d=16),
                              corpus, seed=1)
     pairs = corpus.test_pairs
     assert len(pairs) > ENCODE_CHUNK             # at least two chunks

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,8 +22,7 @@ def _corpus(**kw):
 
 def _enc(corpus, **kw):
     base = dict(d=16, n_heads=4, vocab_size=corpus.config.vocab_size,
-                max_seq_len=corpus.config.max_tokens,
-                image_input_dim=corpus.config.image_dim)
+                max_seq_len=corpus.config.max_tokens)
     base.update(kw)
     return EncoderConfig(**base)
 
@@ -32,8 +32,6 @@ def test_model_for_corpus_validation():
     with pytest.raises(ValueError, match="vocab"):
         model_for_corpus(_enc(corpus, vocab_size=corpus.config.vocab_size - 1),
                          corpus, seed=0)
-    with pytest.raises(ValueError, match="image dim"):
-        model_for_corpus(_enc(corpus, image_input_dim=5), corpus, seed=0)
     with pytest.raises(ValueError, match="caps"):
         model_for_corpus(_enc(corpus, max_seq_len=corpus.config.max_tokens - 1),
                          corpus, seed=0)
@@ -52,7 +50,8 @@ def test_named_parameters_unique_and_complete():
 
 def test_trend_model_size():
     cfg = trend_protocol_config()
-    model = RetrievalModel(cfg.encoder, cfg.corpus.n_train_identities, seed=0)
+    model = RetrievalModel(cfg.encoder, cfg.corpus.image_dim, cfg.corpus.n_train_identities,
+                           seed=0)
     params = model.parameters()
     assert len(params) == 112
     assert sum(p.size for p in params) == 108_352
@@ -219,6 +218,30 @@ def test_load_checkpoint_refuses_a_foreign_array_before_writing(tmp_path):
     assert opt.t == 0 and all(not a.any() for a in opt.state_arrays().values())
 
 
+def test_load_checkpoint_refuses_a_non_finite_array_before_writing(tmp_path):
+    # a NaN in the bank once loaded, and eval printed plain metrics from it
+    corpus = _corpus()
+    model, opt = _trained_state(corpus)
+    path = str(tmp_path / "state.ckpt")
+    save_checkpoint(path, model.named_parameters(), step=1, meta={}, optimizer=opt)
+    _, _, arrays = read_checkpoint(path)
+    fresh = model_for_corpus(_enc(corpus), corpus, seed=3)
+    fresh_opt = T.Adam(fresh.parameters())
+    before = {key: p.data.tobytes() for key, p in fresh.named_parameters().items()}
+    for name, value in (("reference.bank", np.nan), ("image.w1", np.inf),
+                        ("adam.v.0", -np.inf)):
+        bad = {key: arr.copy() for key, arr in arrays.items()}
+        bad[name].flat[-1] = value
+        save_checkpoint(path, {key: SimpleNamespace(data=arr) for key, arr in bad.items()},
+                        step=1, meta={})
+        with pytest.raises(ValueError, match=rf"^checkpoint: array '{re.escape(name)}' "
+                                             rf"has a non-finite value$"):
+            load_checkpoint(path, fresh.named_parameters(), fresh_opt)
+        assert {key: p.data.tobytes()
+                for key, p in fresh.named_parameters().items()} == before
+        assert fresh_opt.t == 0
+
+
 def test_duplicate_parameter_name_rejected():
     corpus = _corpus()
     model = model_for_corpus(_enc(corpus), corpus, seed=0)
@@ -229,4 +252,4 @@ def test_duplicate_parameter_name_rejected():
 
 def test_model_requires_identities():
     with pytest.raises(ValueError):
-        RetrievalModel(EncoderConfig(), 0, seed=0)
+        RetrievalModel(EncoderConfig(), 64, 0, seed=0)

@@ -28,8 +28,7 @@ _CC = CorpusConfig(n_train_identities=12, n_test_identities=6,
 
 def _cfg(tmp_path, **kw):
     base = dict(corpus=_CC,
-                encoder=EncoderConfig(d=16, n_heads=4,
-                                      image_input_dim=_CC.image_dim),
+                encoder=EncoderConfig(d=16, n_heads=4),
                 epochs=3, warmup_epochs=1, batch_identities=4, batch_pairs=2,
                 eval_every=0, run_id="t", out_dir=str(tmp_path / "runs"))
     base.update(kw)
@@ -290,7 +289,7 @@ def test_masked_eval_contract(tmp_path):
         n_train_identities=2, n_test_identities=1, pairs_per_identity=1,
         n_slots=3, values_per_slot=5, background_dims=4, p_drop=1.0))
     blind = model_for_corpus(EncoderConfig(
-        d=16, n_heads=4, image_input_dim=empty_tests.config.image_dim),
+        d=16, n_heads=4),
         empty_tests, seed=0)
     with pytest.raises(ValueError, match="no maskable"):
         masked_eval(blind, empty_tests, split="train")
