@@ -19,7 +19,7 @@ from .config import (RunConfig, config_from_dict, full_scale_config, read_config
 from .data import Corpus, CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .evaluation import encode_split, score_split
 from .gradcheck import format_report, run_checks, stop_gradient_contracts
-from .model import load_checkpoint, model_for_corpus, read_checkpoint
+from .model import model_for_corpus, read_checkpoint, restore
 from .refinement import cosine_scores, refined_scores
 from .train import (ablate, format_ablation_table, run_steps, start_run, train,
                     write_ablation_report)
@@ -115,13 +115,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _, meta, _ = read_checkpoint(args.checkpoint)
+    _, meta, arrays = read_checkpoint(args.checkpoint)
     if "config" not in meta:
         raise ValueError(f"eval: checkpoint {args.checkpoint} records no config")
     cfg = config_from_dict(meta["config"])
     corpus = load_corpus(args.corpus_file) if args.corpus_file else generate_corpus(cfg.corpus)
     model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
-    load_checkpoint(args.checkpoint, model.named_parameters())
+    restore(arrays, model.named_parameters())
     w = cfg.loss.refine_weight if args.w is None else args.w
     directions = ("t2i", "i2t") if args.direction == "both" else (args.direction,)
     text, image, labels = encode_split(model, corpus, args.split)

@@ -19,7 +19,6 @@ from .data import EOS_ID, PAD_ID
 from .tensor import Tensor
 
 _FFN_MULT = 4
-_MASKED_OUT = -1e30
 _EMB_STD = 0.02
 
 
@@ -46,46 +45,6 @@ def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
     return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.matmul(x, w), b)
-
-
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                                 key_mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention core on (B, L, d) tensors.
-
-    key_mask is a (B, Lk) boolean array, True where a key is real; masked
-    keys get a large negative logit before the softmax.
-    """
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise T.ShapeError(f"attention: expected 3-d tensors, got {q.shape}/{k.shape}/{v.shape}")
-    B, Lq, d = q.shape
-    if k.shape[0] != B or v.shape[0] != B or k.shape[2] != d or v.shape[2] != d:
-        raise T.ShapeError(f"attention: shapes {q.shape}/{k.shape}/{v.shape} do not conform")
-    if k.shape[1] != v.shape[1]:
-        raise T.ShapeError(f"attention: key/value lengths differ, {k.shape} vs {v.shape}")
-    if d % n_heads != 0:
-        raise T.ShapeError(f"attention: d={d} not divisible by {n_heads} heads")
-    Lk = k.shape[1]
-    dh = d // n_heads
-
-    def split(t: Tensor, L: int) -> Tensor:
-        return T.permute(T.reshape(t, (B, L, n_heads, dh)), (0, 2, 1, 3))
-
-    qh = split(q, Lq)
-    kh = split(k, Lk)
-    vh = split(v, Lk)
-    scores = T.scale(T.matmul(qh, T.permute(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if key_mask is not None:
-        if key_mask.shape != (B, Lk):
-            raise T.ShapeError(f"attention: key_mask shape {key_mask.shape}, expected {(B, Lk)}")
-        bias = np.where(key_mask, 0.0, _MASKED_OUT)[:, None, None, :]
-        scores = T.add(scores, Tensor(np.broadcast_to(bias, (B, n_heads, Lq, Lk))))
-    att = T.row_softmax(scores)
-    out = T.matmul(att, vh)
-    return T.reshape(T.permute(out, (0, 2, 1, 3)), (B, Lq, d))
-
-
 class FeedForward:
     """Pre-norm residual tanh feed-forward: x + W2 tanh(W1 LN(x))."""
 
@@ -103,8 +62,7 @@ class FeedForward:
         return [self.ln_g, self.ln_b, self.w1, self.b1, self.w2, self.b2]
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = T.layer_norm(x, self.ln_g, self.ln_b)
-        return T.add(x, linear(T.tanh(linear(h, self.w1, self.b1)), self.w2, self.b2))
+        return T.feed_forward(x, self.ln_g, self.ln_b, self.w1, self.b1, self.w2, self.b2)
 
 
 class AttentionBlock:
@@ -134,11 +92,11 @@ class AttentionBlock:
 
     def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         h = T.layer_norm(x, self.ln1_g, self.ln1_b)
-        q = linear(h, self.wq, self.bq)
+        q = T.linear(h, self.wq, self.bq)
         k = T.matmul(h, self.wk)
-        v = linear(h, self.wv, self.bv)
-        a = scaled_dot_product_attention(q, k, v, self.n_heads, key_mask)
-        return self.ffn(T.add(x, linear(a, self.wo, self.bo)))
+        v = T.linear(h, self.wv, self.bv)
+        a = T.attention(q, k, v, self.n_heads, key_mask)
+        return self.ffn(T.add(x, T.linear(a, self.wo, self.bo)))
 
 
 class TextEncoder:
@@ -217,6 +175,6 @@ class ImageEncoder:
         x = Tensor(feats)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise T.ShapeError(f"image encoder: expected (B, {self.input_dim}), got {x.shape}")
-        h = T.tanh(linear(x, self.w1, self.b1))
-        return T.l2_normalize(linear(h, self.w2, self.b2))
+        h = T.tanh(T.linear(x, self.w1, self.b1))
+        return T.l2_normalize(T.linear(h, self.w2, self.b2))
 

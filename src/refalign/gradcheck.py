@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import derive_rng
-from .encoders import EncoderConfig, ImageEncoder, TextEncoder, scaled_dot_product_attention
+from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .losses import (LossConfig, align_loss, contrastive_loss, fuse_loss,
                      guide_loss, rec_loss, total_loss)
 from .reference import LocalReconstructor, ReferenceBank
@@ -58,22 +58,18 @@ def _check_scale_shift(rng):
 
 
 def _check_matmul(rng):
-    a, b = _p(rng, 3, 4), _p(rng, 4, 2)
-    return finite_difference_check(lambda: T.sum_all(T.matmul(a, b)), [a, b])
-
-
-def _check_matmul_batched(rng):
-    a, b = _p(rng, 2, 3, 4), _p(rng, 2, 4, 3)
-    w = _p(rng, 3, 5)
+    # a plain matrix on the right, under a matrix and a (B, L, n) batch
+    a, x, b = _p(rng, 3, 4), _p(rng, 2, 3, 4), _p(rng, 4, 2)
     return finite_difference_check(
-        lambda: T.sum_all(T.matmul(T.matmul(a, b), w)), [a, b, w])
+        lambda: T.sum_all(T.matmul(a, b)) + T.sum_all(T.tanh(T.matmul(x, b))), [a, x, b])
 
 
-def _check_permute_reshape(rng):
-    a = _p(rng, 2, 3, 4)
+def _check_linear(rng):
+    a, x = _p(rng, 3, 4), _p(rng, 2, 3, 4)
+    w, b = _p(rng, 4, 5), _p(rng, 5)
     return finite_difference_check(
-        lambda: T.sum_all(T.mul(T.reshape(T.permute(a, (1, 0, 2)), (6, 4)),
-                                T.reshape(T.permute(a, (1, 0, 2)), (6, 4)))), [a])
+        lambda: T.sum_all(T.tanh(T.linear(a, w, b))) + T.sum_all(T.tanh(T.linear(x, w, b))),
+        [a, x, w, b])
 
 
 def _check_log(rng):
@@ -140,11 +136,21 @@ def _check_cosine_matrix(rng):
     return finite_difference_check(lambda: T.sum_all(T.mul(T.cosine_matrix(a, b), w)), [a, b, w])
 
 
-def _check_attention_core(rng):
-    q, k, v = _p(rng, 1, 3, 8), _p(rng, 1, 4, 8), _p(rng, 1, 4, 8)
-    mask = np.array([[True, True, True, False]])
+def _check_attention(rng):
+    q, k, v = _p(rng, 2, 3, 8), _p(rng, 2, 4, 8), _p(rng, 2, 4, 8)
+    mask = np.array([[True, True, True, False], [True, False, True, True]])
+    w = _p(rng, 2, 3, 8)
     return finite_difference_check(
-        lambda: T.mean_all(scaled_dot_product_attention(q, k, v, 2, mask)), [q, k, v])
+        lambda: T.sum_all(T.mul(T.attention(q, k, v, 2, mask), w))
+        + T.mean_all(T.attention(q, k, v, 4)), [q, k, v, w])
+
+
+def _check_feed_forward(rng):
+    x = _p(rng, 2, 3, 4)
+    params = [_p(rng, 4), _p(rng, 4), _p(rng, 4, 6), _p(rng, 6), _p(rng, 6, 4), _p(rng, 4)]
+    w = _p(rng, 2, 3, 4)
+    return finite_difference_check(
+        lambda: T.sum_all(T.mul(T.feed_forward(x, *params), w)), [x, *params])
 
 
 def _check_contrastive(rng):
@@ -306,8 +312,7 @@ CHECKS = {
     "mul": _check_mul,
     "scale_shift": _check_scale_shift,
     "matmul": _check_matmul,
-    "matmul_batched": _check_matmul_batched,
-    "permute_reshape": _check_permute_reshape,
+    "linear": _check_linear,
     "log": _check_log,
     "tanh": _check_tanh,
     "softplus": _check_softplus,
@@ -317,7 +322,8 @@ CHECKS = {
     "take": _check_take,
     "concat_mean": _check_concat_mean,
     "cosine_matrix": _check_cosine_matrix,
-    "attention_core": _check_attention_core,
+    "attention": _check_attention,
+    "feed_forward": _check_feed_forward,
     "contrastive_loss": _check_contrastive,
     "align_loss": _check_align_loss,
     "fuse_loss": _check_fuse_loss,

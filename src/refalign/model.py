@@ -96,12 +96,20 @@ def read_checkpoint(path: str) -> tuple[int, dict, dict[str, np.ndarray]]:
 
 def load_checkpoint(path: str, params: dict[str, Tensor],
                     optimizer: Adam | None = None) -> tuple[int, dict]:
-    """Restore parameters (and optimizer state) in place.  Every name,
-    shape and value is checked before anything is written, so one with a
-    missing parameter, a misshapen one, an array that is neither a
-    parameter nor `adam.*` state, or a non-finite value in any array is
-    refused and leaves the model as it was."""
+    """Read a checkpoint and restore() its arrays; -> (step, meta)."""
     step, meta, arrays = read_checkpoint(path)
+    restore(arrays, params, optimizer)
+    return step, meta
+
+
+def restore(arrays: dict[str, np.ndarray], params: dict[str, Tensor],
+            optimizer: Adam | None = None) -> None:
+    """Write a checkpoint's arrays into the parameters (and optimizer
+    state) in place.  Every name, shape and value is checked before
+    anything is written, so one with a missing parameter, a misshapen
+    one, an array that is neither a parameter nor `adam.*` state, or a
+    non-finite value in any array is refused and leaves the model as it
+    was."""
     for name, arr in arrays.items():
         if name not in params and not name.startswith("adam."):
             raise KeyError(f"checkpoint: array {name!r} is not a model parameter")
@@ -116,4 +124,3 @@ def load_checkpoint(path: str, params: dict[str, Tensor],
         optimizer.load_state_arrays(arrays)
     for name, p in params.items():
         p.data[...] = arrays[name]
-    return step, meta

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import MASK_ID, N_SPECIAL
-from .encoders import AttentionBlock, FeedForward, linear, linear_init
+from .encoders import AttentionBlock, FeedForward, linear_init
 from .tensor import Tensor
 
 _BANK_STD = 0.02
@@ -111,7 +111,7 @@ class ReferenceStage:
         """x: (B, L, d) token states; values: (B, d) projected references."""
         B, L, _ = x.shape
         per_position = np.broadcast_to(np.arange(B)[:, None], (B, L))
-        injected = T.take(linear(values, self.wo, self.bo), per_position)
+        injected = T.take(T.linear(values, self.wo, self.bo), per_position)
         return self.ffn(T.add(x, injected))
 
 
@@ -173,9 +173,9 @@ class LocalReconstructor:
         if mask_rows.max() >= B or mask_cols.max() >= L or mask_rows.min() < 0 or mask_cols.min() < 0:
             raise T.ShapeError("reconstructor: mask position outside the batch")
 
-        values = linear(references, self.w_val, self.b_val)
-        x = linear(token_states, self.w_in, self.b_in)
+        values = T.linear(references, self.w_val, self.b_val)
+        x = T.linear(token_states, self.w_in, self.b_in)
         for self_block, ref_stage in self.stages:
             x = ref_stage(self_block(x, key_mask=key_mask), values)
         selected = T.take(x, mask_rows, mask_cols)
-        return T.row_softmax(linear(selected, self.w_head, self.b_head))
+        return T.row_softmax(T.linear(selected, self.w_head, self.b_head))

@@ -12,8 +12,16 @@ layer norm, L2 normalization, ...) act on the last axis and accept any
 number of leading batch axes.  Every lookup (token and position
 embeddings, EOS pooling, reference rows, masked positions, the pairs of
 a similarity matrix) is the one gather, take().
+
+linear(), attention() and feed_forward() are fused nodes: one node each
+for a whole layer, whose forward runs the same numpy expressions, on the
+same memory layouts, as the chain of single ops it stands for, and whose
+backward runs once and hands every parent its share.  Their results are
+bitwise those of the chain.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,10 +30,10 @@ Array = np.ndarray
 __all__ = [
     "Tensor", "ShapeError", "NumericsError", "GraphError",
     "parameter", "backward",
-    "add", "mul", "scale", "shift", "matmul", "permute", "reshape",
+    "add", "mul", "scale", "shift", "matmul",
     "log", "tanh", "softplus", "row_softmax", "layer_norm", "l2_normalize",
     "concat_rows", "sum_all", "mean_all", "take", "stop_gradient",
-    "cosine_matrix",
+    "cosine_matrix", "linear", "attention", "feed_forward",
     "Adam", "ScheduleConfig", "lr_at", "finite_difference_check",
 ]
 
@@ -66,8 +74,7 @@ class Tensor:
 
     @classmethod
     def _result(cls, op: str, data: Array, parents, vjps) -> "Tensor":
-        if not np.all(np.isfinite(data)):
-            raise NumericsError(f"{op}: non-finite output")
+        _refuse_non_finite(op, "output", data)
         t = object.__new__(cls)
         t.data = data
         t.name = None
@@ -106,6 +113,11 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
+
+
+def _refuse_non_finite(op: str, what: str, a: Array) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NumericsError(f"{op}: non-finite {what}")
 
 
 def parameter(data, name: str | None = None) -> Tensor:
@@ -211,48 +223,20 @@ def shift(a: Tensor, c: float) -> Tensor:
     return Tensor._result("shift", a.data + c, (a,), (lambda g: g,))
 
 
+def _weight_grad(x: Array, g: Array) -> Array:
+    # gradient of x @ w with respect to the matrix w: one gemm over every
+    # leading axis of x
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.  Either both operands carry identical leading batch axes,
-    or b is a plain matrix applied across a's batch axes."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    """a @ b for a plain matrix b, applied across a's leading axes."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: need (..., n) @ (n, m), got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    if a.ndim == b.ndim:
-        if a.shape[:-2] != b.shape[:-2]:
-            raise ShapeError(f"matmul: batch axes differ, {a.shape} @ {b.shape}")
-
-        def vjp_b(g, a=a, b=b):
-            return np.swapaxes(a.data, -1, -2) @ g
-    elif b.ndim == 2:
-
-        def vjp_b(g, a=a, b=b):
-            flat_a = a.data.reshape(-1, a.shape[-1])
-            flat_g = g.reshape(-1, b.shape[-1])
-            return flat_a.T @ flat_g
-    else:
-        raise ShapeError(f"matmul: unsupported rank pairing {a.shape} @ {b.shape}")
-
-    def vjp_a(g, a=a, b=b):
-        return g @ np.swapaxes(b.data, -1, -2)
-
-    return Tensor._result("matmul", a.data @ b.data, (a, b), (vjp_a, vjp_b))
-
-
-def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permute: axes {axes} invalid for shape {a.shape}")
-    inverse = tuple(np.argsort(axes))
-    return Tensor._result("permute", np.transpose(a.data, axes).copy(), (a,),
-                          (lambda g: np.transpose(g, inverse),))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    orig = a.shape
-    return Tensor._result("reshape", a.data.reshape(shape), (a,),
-                          (lambda g: g.reshape(orig),))
+    return Tensor._result("matmul", a.data @ b.data, (a, b),
+                          (lambda g: g @ b.data.T, lambda g: _weight_grad(a.data, g)))
 
 
 # ------------------------------------------------------------- elementwise
@@ -280,38 +264,49 @@ def softplus(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------- row-wise
 
+def _softmax(a: Array) -> Array:
+    m = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: Array, s: Array) -> Array:
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
 def row_softmax(a: Tensor) -> Tensor:
-    m = a.data.max(axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g, s=s):
-        return s * (g - (g * s).sum(axis=-1, keepdims=True))
-
-    return Tensor._result("row_softmax", s, (a,), (vjp,))
+    s = _softmax(a.data)
+    return Tensor._result("row_softmax", s, (a,), (lambda g: _softmax_grad(g, s),))
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
+_LN_EPS = 1e-5
+
+
+def _layer_norm(x: Array, gain: Array, bias: Array, eps: float) -> tuple[Array, Array, Array]:
+    # -> (output, normalized input, inverse standard deviation)
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
 
-    def vjp_a(g, xhat=xhat, inv=inv, gd=gain.data):
-        gy = g * gd
-        return inv * (gy - gy.mean(axis=-1, keepdims=True)
-                      - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
 
-    def vjp_gain(g, xhat=xhat):
-        return _sum_to_vector(g * xhat)
+def _layer_norm_grad(g: Array, xhat: Array, inv: Array, gain: Array) -> Array:
+    # gradient with respect to the layer norm's input
+    gy = g * gain
+    return inv * (gy - gy.mean(axis=-1, keepdims=True)
+                  - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
 
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
+    d = a.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
+    out, xhat, inv = _layer_norm(a.data, gain.data, bias.data, eps)
     return Tensor._result("layer_norm", out, (a, gain, bias),
-                          (vjp_a, vjp_gain, _sum_to_vector))
+                          (lambda g: _layer_norm_grad(g, xhat, inv, gain.data),
+                           lambda g: _sum_to_vector(g * xhat), _sum_to_vector))
 
 
 def l2_normalize(a: Tensor) -> Tensor:
@@ -419,6 +414,125 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
         return (g.T @ ahat - (g * s).sum(axis=0)[:, None] * bhat) / nb
 
     return Tensor._result("cosine_matrix", s, (a, b), (vjp_a, vjp_b))
+
+
+# ------------------------------------------------------------ fused layers
+
+def _fused(op: str, data: Array, parents, grads) -> Tensor:
+    """A node whose backward runs once per backward() call: grads(g)
+    returns one gradient per parent, computed when the first parent asks
+    and released once the last parent that needs one has its share."""
+    last = max((i for i, p in enumerate(parents) if p.requires_grad), default=-1)
+    held: list = []
+
+    def share(i):
+        def vjp(g):
+            if not held or held[0] is not g:
+                held[:] = (g, grads(g))
+            out = held[1][i]
+            if i == last:
+                held.clear()
+            return out
+        return vjp
+
+    return Tensor._result(op, data, parents, [share(i) for i in range(len(parents))])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b: the matrix w applied across x's leading axes, then the
+    bias vector b over the last axis."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not conform")
+    return Tensor._result("linear", x.data @ w.data + b.data, (x, w, b),
+                          (lambda g: g @ w.data.T, lambda g: _weight_grad(x.data, g),
+                           _sum_to_vector))
+
+
+# logit of a masked key; its softmax weight underflows to exactly 0
+_MASKED_OUT = -1e30
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              key_mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention on (B, L, d) tensors.
+
+    The heads split d.  key_mask is a (B, Lk) boolean array, True where a
+    key is real; a masked key gets a large negative logit before the
+    softmax.  Each head permute is a contiguous copy, as numpy's matmul
+    sums a strided operand in a different order than a contiguous one.
+    The scores are checked before the mask and softmax, which would turn
+    an infinite score into a finite weight.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError(f"attention: expected 3-d tensors, got {q.shape}/{k.shape}/{v.shape}")
+    B, Lq, d = q.shape
+    if k.shape[0] != B or v.shape[0] != B or k.shape[2] != d or v.shape[2] != d:
+        raise ShapeError(f"attention: shapes {q.shape}/{k.shape}/{v.shape} do not conform")
+    if k.shape[1] != v.shape[1]:
+        raise ShapeError(f"attention: key/value lengths differ, {k.shape} vs {v.shape}")
+    if d % n_heads != 0:
+        raise ShapeError(f"attention: d={d} not divisible by {n_heads} heads")
+    Lk = k.shape[1]
+    if key_mask is not None and key_mask.shape != (B, Lk):
+        raise ShapeError(f"attention: key_mask shape {key_mask.shape}, expected {(B, Lk)}")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(a: Array, L: int) -> Array:    # (B, L, d) -> (B, heads, L, dh)
+        return np.transpose(a.reshape(B, L, n_heads, dh), (0, 2, 1, 3)).copy()
+
+    def merge(a: Array, L: int) -> Array:    # (B, heads, L, dh) -> (B, L, d)
+        return np.transpose(a, (0, 2, 1, 3)).reshape(B, L, d)
+
+    qh, vh = split(q.data, Lq), split(v.data, Lk)
+    kt = np.transpose(k.data.reshape(B, Lk, n_heads, dh), (0, 2, 3, 1)).copy()
+    scores = (qh @ kt) * c
+    _refuse_non_finite("attention", "scores", scores)
+    if key_mask is not None:
+        scores = scores + np.where(key_mask, 0.0, _MASKED_OUT)[:, None, None, :]
+    att = _softmax(scores)
+    out = merge(att @ vh, Lq)
+
+    def grads(g):
+        go = np.transpose(g.reshape(B, Lq, n_heads, dh), (0, 2, 1, 3))
+        gs = _softmax_grad(go @ np.swapaxes(vh, -1, -2), att) * c
+        gkt = np.swapaxes(qh, -1, -2) @ gs
+        return (merge(gs @ np.swapaxes(kt, -1, -2), Lq),
+                merge(np.transpose(gkt, (0, 1, 3, 2)), Lk),
+                merge(np.swapaxes(att, -1, -2) @ go, Lk))
+
+    return _fused("attention", out, (q, k, v), grads)
+
+
+def feed_forward(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor) -> Tensor:
+    """Pre-norm residual tanh feed-forward: x + tanh(LN(x) @ w1 + b1) @ w2 + b2.
+
+    The pre-tanh activations are checked, as tanh would turn an infinite
+    one into a finite 1; a non-finite layer norm shows up there too.
+    """
+    d = x.shape[-1] if x.ndim >= 2 else -1
+    if d < 0 or ln_gain.shape != (d,) or ln_bias.shape != (d,) or w1.ndim != 2 \
+            or w1.shape[0] != d or b1.shape != w1.shape[1:] or w2.shape != (w1.shape[1], d) \
+            or b2.shape != (d,):
+        raise ShapeError(f"feed_forward: input {x.shape}, layer norm {ln_gain.shape}/"
+                         f"{ln_bias.shape}, {w1.shape} + {b1.shape}, {w2.shape} + "
+                         f"{b2.shape} do not conform")
+    h, xhat, inv = _layer_norm(x.data, ln_gain.data, ln_bias.data, _LN_EPS)
+    pre = h @ w1.data + b1.data
+    _refuse_non_finite("feed_forward", "pre-tanh activations", pre)
+    t = np.tanh(pre)
+    out = x.data + (t @ w2.data + b2.data)
+
+    def grads(g):
+        gpre = (g @ w2.data.T) * (1.0 - t * t)
+        gh = gpre @ w1.data.T
+        return (g + _layer_norm_grad(gh, xhat, inv, ln_gain.data),
+                _sum_to_vector(gh * xhat), _sum_to_vector(gh),
+                _weight_grad(h, gpre), _sum_to_vector(gpre),
+                _weight_grad(t, g), _sum_to_vector(g))
+
+    return _fused("feed_forward", out, (x, ln_gain, ln_bias, w1, b1, w2, b2), grads)
 
 
 # ---------------------------------------------------------------- training

@@ -13,6 +13,7 @@ import pytest
 
 import refalign
 import refalign.cli
+import refalign.model
 import refalign.train
 from refalign.cli import main
 from refalign.config import RunConfig, read_config, write_config
@@ -149,6 +150,42 @@ def test_eval_command(tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert len(lines) == 2
     assert all(l["refined"] and l["w"] == 0.3 and "AP@4" in l for l in lines)
+
+
+def test_eval_reads_its_checkpoint_once(tmp_path, monkeypatch, capsys):
+    ini = _ini(tmp_path, run_id="once")
+    main(["train", "--config", ini, "--variant", "C", "--quiet"])
+    ckpt = str(tmp_path / "runs" / "once.ckpt")
+    read = []
+    load_arrays = refalign.model.load_arrays
+
+    def spy(path, *args):
+        read.append(path)
+        return load_arrays(path, *args)
+
+    monkeypatch.setattr(refalign.model, "load_arrays", spy)
+    assert main(["eval", "--checkpoint", ckpt, "--direction", "t2i"]) == 0
+    assert read == [ckpt]
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda a: a["reference.bank"].__setitem__((0, 0), np.nan),
+     r"^checkpoint: array 'reference.bank' has a non-finite value$"),
+    (lambda a: a.__setitem__("recon.w_in", a["recon.w_in"][:, :-1]),
+     r"'recon.w_in' has shape \(16, 15\), model expects \(16, 16\)$"),
+    (lambda a: a.pop("image.b2"), r"parameter 'image.b2' missing"),
+    (lambda a: a.__setitem__("image.b3", a["image.b2"]), r"array 'image.b3' is not a model parameter"),
+])
+def test_eval_refuses_a_checkpoint_array_by_name(tmp_path, edit, error):
+    ini = _ini(tmp_path, run_id="bad")
+    main(["train", "--config", ini, "--variant", "C", "--quiet"])
+    ckpt = str(tmp_path / "runs" / "bad.ckpt")
+    step, meta, arrays = read_checkpoint(ckpt)
+    edit(arrays)
+    save_checkpoint(ckpt, {name: SimpleNamespace(data=arr) for name, arr in arrays.items()},
+                    step, meta)
+    with pytest.raises((KeyError, ValueError), match=error):
+        main(["eval", "--checkpoint", ckpt])
 
 
 @pytest.mark.parametrize("missing", ["config"])

@@ -4,7 +4,7 @@ import pytest
 from refalign import tensor as T
 from refalign.data import BOS_ID, EOS_ID, N_SPECIAL, derive_rng
 from refalign.encoders import (AttentionBlock, EncoderConfig, ImageEncoder,
-                               TextEncoder, scaled_dot_product_attention)
+                               TextEncoder)
 
 
 def _cfg(**kw):
@@ -45,7 +45,7 @@ def test_attention_single_key_returns_value():
     q = T.Tensor(rng.normal(size=(2, 3, 8)))
     k = T.Tensor(rng.normal(size=(2, 1, 8)))
     v = T.Tensor(rng.normal(size=(2, 1, 8)))
-    out = scaled_dot_product_attention(q, k, v, n_heads=2)
+    out = T.attention(q, k, v, n_heads=2)
     expect = np.broadcast_to(v.data, (2, 3, 8))
     np.testing.assert_array_equal(out.data, expect)
 
@@ -55,7 +55,7 @@ def test_attention_identical_keys_average_values():
     q = T.Tensor(rng.normal(size=(1, 2, 8)))
     k = T.Tensor(np.repeat(rng.normal(size=(1, 1, 8)), 5, axis=1))
     v = T.Tensor(rng.normal(size=(1, 5, 8)))
-    out = scaled_dot_product_attention(q, k, v, n_heads=2)
+    out = T.attention(q, k, v, n_heads=2)
     # equal logits -> uniform weights over values, per head slice
     expect = np.broadcast_to(v.data.mean(axis=1, keepdims=True), (1, 2, 8))
     np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
@@ -64,15 +64,15 @@ def test_attention_identical_keys_average_values():
 def test_attention_shape_validation():
     x = T.Tensor(np.ones((2, 3, 8)))
     with pytest.raises(T.ShapeError):
-        scaled_dot_product_attention(T.Tensor(np.ones((3, 8))), x, x, 2)
+        T.attention(T.Tensor(np.ones((3, 8))), x, x, 2)
     with pytest.raises(T.ShapeError):
-        scaled_dot_product_attention(x, T.Tensor(np.ones((2, 3, 6))), x, 2)
+        T.attention(x, T.Tensor(np.ones((2, 3, 6))), x, 2)
     with pytest.raises(T.ShapeError):
-        scaled_dot_product_attention(x, x, T.Tensor(np.ones((2, 4, 8))), 2)
+        T.attention(x, x, T.Tensor(np.ones((2, 4, 8))), 2)
     with pytest.raises(T.ShapeError):
-        scaled_dot_product_attention(x, x, x, 3)
+        T.attention(x, x, x, 3)
     with pytest.raises(T.ShapeError):
-        scaled_dot_product_attention(x, x, x, 2, key_mask=np.ones((2, 4), bool))
+        T.attention(x, x, x, 2, key_mask=np.ones((2, 4), bool))
 
 
 def _rel_err(got, want):
@@ -90,8 +90,8 @@ def test_key_bias_leaves_attention_unchanged(masked):
     b = T.parameter(rng.normal(size=8))
     mask = np.array([[True, True, True, False], [True, True, False, False]]) \
         if masked else None
-    plain = scaled_dot_product_attention(q, k, v, 2, mask)
-    biased = scaled_dot_product_attention(q, T.add(k, b), v, 2, mask)
+    plain = T.attention(q, k, v, 2, mask)
+    biased = T.attention(q, T.add(k, b), v, 2, mask)
     assert _rel_err(biased.data, plain.data) <= 1e-12
     w = T.Tensor(rng.normal(size=plain.shape))
     g = T.backward(T.sum_all(T.mul(biased, w)), wrt=[b])[b]

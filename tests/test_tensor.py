@@ -69,9 +69,7 @@ def test_shape_rules_rejected():
     with pytest.raises(T.ShapeError):
         T.matmul(a, T.Tensor(np.ones((2, 2))))
     with pytest.raises(T.ShapeError):
-        T.reshape(a, (4, 2))
-    with pytest.raises(T.ShapeError):
-        T.permute(a, (0, 0))
+        T.matmul(T.Tensor(np.ones((2, 2, 3))), T.Tensor(np.ones((2, 3, 2))))
     with pytest.raises(T.ShapeError):
         T.layer_norm(a, T.Tensor(np.ones(2)), T.Tensor(np.zeros(3)))
     with pytest.raises(T.ShapeError):
