@@ -176,16 +176,24 @@ class RetrievalResult:
 def encode_split(model, corpus: Corpus, split: str):
     """-> (text features, image features, labels) as plain arrays.
 
-    Encodes ENCODE_CHUNK pairs at a time and keeps only each chunk's
-    feature values, so no more than one chunk's graph is ever alive.
+    Captions are encoded in groups of equal token count, ENCODE_CHUNK at
+    a time, so no caption is padded: a caption's features depend on the
+    caption alone, not on its neighbours, the chunk size or the row
+    order.  Images go ENCODE_CHUNK rows at a time in split order.  Only
+    each chunk's feature values are kept, so no more than one chunk's
+    graph is ever alive.
     """
     pairs = corpus.split_pairs(split)
-    text, image = [], []
-    for lo in range(0, len(pairs), ENCODE_CHUNK):
-        rows = range(lo, min(lo + ENCODE_CHUNK, len(pairs)))
-        text.append(model.text_encoder.encode_batch(pairs.token_seqs(rows))[0].data)
-        image.append(model.image_encoder.encode_batch(pairs.image[lo:lo + ENCODE_CHUNK]).data)
-    return np.concatenate(text), np.concatenate(image), pairs.identity
+    lengths = np.diff(pairs.tokens_offsets)
+    text = np.empty((len(pairs), model.text_encoder.cfg.d))
+    for length in np.unique(lengths):
+        group = np.flatnonzero(lengths == length)
+        for lo in range(0, group.size, ENCODE_CHUNK):
+            rows = group[lo:lo + ENCODE_CHUNK]
+            text[rows] = model.text_encoder.encode_batch(pairs.token_seqs(rows))[0].data
+    image = [model.image_encoder.encode_batch(pairs.image[lo:lo + ENCODE_CHUNK]).data
+             for lo in range(0, len(pairs), ENCODE_CHUNK)]
+    return text, np.concatenate(image), pairs.identity
 
 
 def score_split(text: np.ndarray, image: np.ndarray, labels: np.ndarray,

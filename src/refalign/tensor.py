@@ -563,15 +563,18 @@ class Adam(object):
         lr = float(lr)
         if not np.isfinite(lr) or lr < 0.0:
             raise ValueError(f"Adam: bad learning rate {lr}")
-        self.t += 1
-        c1 = 1.0 - ADAM_BETA1 ** self.t
-        c2 = 1.0 - ADAM_BETA2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = grads[p]
+        # every gradient is checked before any state moves, so a refused
+        # step leaves t, the parameters and the moments as they were
+        gs = [grads[p] for p in self.params]
+        for p, g in zip(self.params, gs):
             if g.shape != p.data.shape:
                 raise ShapeError(f"Adam: gradient shape {g.shape} != parameter {p.data.shape}")
             if not np.all(np.isfinite(g)):
                 raise NumericsError(f"Adam: non-finite gradient for {p.name or '?'}")
+        self.t += 1
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        for p, m, v, g in zip(self.params, self._m, self._v, gs):
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2

@@ -297,6 +297,9 @@ def masked_eval(model: RetrievalModel, corpus: Corpus, split: str = "train",
     total_nll = 0.0
     hits = 0
     count = 0
+    # fixed chunks in split order, unlike encode_split's equal-length
+    # groups: acceptance criterion 8 gates this accuracy and perplexity,
+    # and regrouping would move them in the last bits
     for lo in range(0, len(pairs), ENCODE_CHUNK):
         rows = range(lo, min(lo + ENCODE_CHUNK, len(pairs)))
         recon = _reconstruct_masked(

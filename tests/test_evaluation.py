@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from refalign import evaluation, refinement
-from refalign.config import RunConfig
+from refalign.config import RunConfig, trend_protocol_config
 from refalign.data import CorpusConfig, derive_rng, generate_corpus
 from refalign.evaluation import (ENCODE_CHUNK, RANK_BLOCK, ap_at_n,
                                  encode_split, mean_average_precision,
@@ -312,12 +312,24 @@ def test_encode_split_chunks_match_one_batch():
                              corpus, seed=1)
     pairs = corpus.test_pairs
     assert len(pairs) > ENCODE_CHUNK             # at least two chunks
-    text, image, labels = encode_split(model, corpus, "test")
-    whole_text = model.text_encoder.encode_batch(pairs.token_seqs(range(len(pairs))))[0].data
+    _, image, labels = encode_split(model, corpus, "test")
     whole_image = model.image_encoder.encode_batch(pairs.image).data
-    assert np.array_equal(text, whole_text)
     assert np.array_equal(image, whole_image)
     np.testing.assert_array_equal(labels, pairs.identity)
+
+
+def test_encode_split_text_rows_are_each_caption_alone(monkeypatch):
+    # captions go through the encoder unpadded, so every row equals the
+    # caption encoded on its own, whatever the chunk size
+    cfg = trend_protocol_config()
+    corpus = generate_corpus(cfg.corpus)
+    model = model_for_corpus(cfg.encoder, corpus, seed=cfg.seed)
+    pairs = corpus.test_pairs
+    text, _, _ = encode_split(model, corpus, "test")
+    for r, seq in enumerate(pairs.token_seqs(range(len(pairs)))):
+        assert np.array_equal(text[r], model.text_encoder.encode_batch([seq])[0].data[0]), r
+    monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 7)
+    assert np.array_equal(encode_split(model, corpus, "test")[0], text)
 
 
 def test_score_split_matches_per_metric_functions():

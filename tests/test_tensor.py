@@ -248,6 +248,25 @@ def test_adam_validation():
         opt.step({p: np.ones(2)}, lr=-1.0)
 
 
+@pytest.mark.parametrize("bad, error", [(np.array([0.0, np.nan]), T.NumericsError),
+                                        (np.zeros(3), T.ShapeError)])
+def test_adam_refused_step_changes_nothing(bad, error):
+    rng = _rng()
+    a = T.parameter(rng.normal(size=3), "a")
+    b = T.parameter(rng.normal(size=2), "b")
+    opt = T.Adam([a, b])
+    opt.step({a: rng.normal(size=3), b: rng.normal(size=2)}, lr=0.1)
+    state = {k: v.copy() for k, v in opt.state_arrays().items()}
+    params = [a.data.copy(), b.data.copy()]
+    with pytest.raises(error):
+        opt.step({a: np.ones(3), b: bad}, lr=0.1)
+    assert opt.t == 1
+    for now, was in zip([a.data, b.data], params):
+        assert now.tobytes() == was.tobytes()
+    for k, v in opt.state_arrays().items():
+        assert v.tobytes() == state[k].tobytes()
+
+
 def test_adam_state_round_trip():
     rng = _rng()
     p = T.parameter(rng.normal(size=(2, 3)))
