@@ -104,8 +104,12 @@ class TextEncoder:
 
     The pooled feature is read at the first EOS position (the last real
     token for anything the tokenizer produced) and unit-normalized.
-    Padded batching and one-by-one encoding agree because padded keys are
-    masked out of every softmax.
+    Padded keys are masked out of every softmax, so a padded batch and
+    one-by-one encoding agree only up to rounding (~1e-16): padding
+    changes the shapes BLAS sums over.  encode_split therefore
+    encodes captions unpadded, in equal-length groups, and each row is
+    bitwise the caption encoded alone; padded training batches differ
+    from that in the last bits.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
@@ -123,31 +127,31 @@ class TextEncoder:
             out.extend(b.parameters())
         return out
 
-    def _validate(self, seq: np.ndarray) -> np.ndarray:
-        seq = np.asarray(seq)
-        if seq.ndim != 1 or seq.size == 0:
-            raise T.ShapeError(f"text encoder: sequences must be non-empty 1-d, got shape {seq.shape}")
-        if seq.size > self.cfg.max_seq_len:
-            raise T.ShapeError(f"text encoder: length {seq.size} exceeds max {self.cfg.max_seq_len}")
-        if seq.min() < 0 or seq.max() >= self.cfg.vocab_size:
-            raise T.ShapeError(f"text encoder: token id outside [0, {self.cfg.vocab_size})")
-        return seq.astype(np.int64)
-
     def encode_batch(self, seqs) -> tuple[Tensor, Tensor, np.ndarray]:
         """-> (globals (B, d) unit rows, token states (B, L, d), key mask)."""
-        seqs = [self._validate(s) for s in seqs]
+        seqs = [np.asarray(s) for s in seqs]
         if not seqs:
             raise T.ShapeError("text encoder: empty batch")
-        B = len(seqs)
-        L = max(s.size for s in seqs)
+        bad = [s.shape for s in seqs if s.ndim != 1 or s.size == 0]
+        if bad:
+            raise T.ShapeError(f"text encoder: sequences must be non-empty 1-d, got shape {bad[0]}")
+        # as take() does: a float id would otherwise be truncated silently
+        bad = [s.dtype for s in seqs if s.dtype.kind not in "iu"]
+        if bad:
+            raise T.ShapeError(f"text encoder: token ids must be integers, got {bad[0]}")
+        sizes = np.array([s.size for s in seqs])
+        if sizes.max() > self.cfg.max_seq_len:
+            raise T.ShapeError(f"text encoder: length {sizes[sizes > self.cfg.max_seq_len][0]} "
+                               f"exceeds max {self.cfg.max_seq_len}")
+        flat = np.concatenate(seqs)
+        if flat.min() < 0 or flat.max() >= self.cfg.vocab_size:
+            raise T.ShapeError(f"text encoder: token id outside [0, {self.cfg.vocab_size})")
+        B, L = len(seqs), int(sizes.max())
+        mask = np.arange(L) < sizes[:, None]
         ids = np.full((B, L), PAD_ID, dtype=np.int64)
-        mask = np.zeros((B, L), dtype=bool)
-        pooled_at = np.zeros(B, dtype=np.int64)
-        for i, s in enumerate(seqs):
-            ids[i, :s.size] = s
-            mask[i, :s.size] = True
-            eos = np.flatnonzero(s == EOS_ID)
-            pooled_at[i] = eos[0] if eos.size else s.size - 1
+        ids[mask] = flat
+        eos = (ids == EOS_ID) & mask
+        pooled_at = np.where(eos.any(axis=1), eos.argmax(axis=1), sizes - 1)
         pos = np.broadcast_to(np.arange(L), (B, L))
         x = T.add(T.take(self.tok_emb, ids), T.take(self.pos_emb, pos))
         for block in self.blocks:

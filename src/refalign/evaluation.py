@@ -4,17 +4,21 @@ Rankings sort scores descending with ties broken by lower gallery index,
 which keeps every number bit-reproducible.  `ranking` gets that order
 from an unstable vectorised argsort per block of RANK_BLOCK query rows,
 then re-orders only the tied runs, so it returns exactly what a stable
-sort would at the unstable sort's speed; the blocks run on one thread
-per usable CPU, or inline when there is one block or one CPU.  Ties are
-not rare: duplicate captions encode to identical text features, so every
-i2t row holds tied gallery scores.  R@K and AP@N are percentages; mAP
-lives in [0, 1].
+sort would at the unstable sort's speed.  Ties are not rare: duplicate
+captions encode to identical text features, so every i2t row holds tied
+gallery scores.  R@K and AP@N are percentages; mAP lives in [0, 1].
+
+Two stages run on threads, one per usable CPU (inline when there is one
+CPU or one unit of work): `encode_split`'s encoder chunks and `ranking`'s
+blocks.  Each unit writes only its own rows and numpy releases the GIL
+in their heavy calls, so results are bitwise those of one thread.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +39,17 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _on_threads(fn, units) -> list:
+    """[fn(u) for u in units] on min(len(units), usable CPUs) threads, or
+    inline when that is one.  Results are read in unit order, so the
+    first failing unit raises, and every pool thread has ended on return."""
+    threads = min(len(units), usable_cpus())
+    if threads <= 1:
+        return [fn(u) for u in units]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, units))
 
 
 def _rank_block(scores: np.ndarray, order: np.ndarray, lo: int) -> None:
@@ -89,16 +104,8 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     if scores.ndim != 2 or scores.size == 0:
         raise ValueError(f"ranking: need a non-empty score matrix, got shape {scores.shape}")
     order = np.empty(scores.shape, dtype=np.intp)
-    starts = range(0, scores.shape[0], RANK_BLOCK)
-    threads = min(len(starts), usable_cpus())
-    if threads == 1:
-        for lo in starts:
-            _rank_block(scores, order, lo)
-        return order
-    with ThreadPoolExecutor(threads) as pool:
-        # results are read in block order, so the lowest bad block raises
-        for _ in pool.map(lambda lo: _rank_block(scores, order, lo), starts):
-            pass
+    _on_threads(lambda lo: _rank_block(scores, order, lo),
+                range(0, scores.shape[0], RANK_BLOCK))
     return order
 
 
@@ -179,21 +186,31 @@ def encode_split(model, corpus: Corpus, split: str):
     Captions are encoded in groups of equal token count, ENCODE_CHUNK at
     a time, so no caption is padded: a caption's features depend on the
     caption alone, not on its neighbours, the chunk size or the row
-    order.  Images go ENCODE_CHUNK rows at a time in split order.  Only
-    each chunk's feature values are kept, so no more than one chunk's
-    graph is ever alive.
+    order.  Images go ENCODE_CHUNK rows at a time.  The chunks run
+    through _on_threads, each writing its own rows of the two feature
+    arrays, so the features are bitwise the same on any thread count.
+    Only each chunk's feature values are kept, so each thread holds at
+    most one chunk's graph.
     """
     pairs = corpus.split_pairs(split)
     lengths = np.diff(pairs.tokens_offsets)
     text = np.empty((len(pairs), model.text_encoder.cfg.d))
-    for length in np.unique(lengths):
-        group = np.flatnonzero(lengths == length)
-        for lo in range(0, group.size, ENCODE_CHUNK):
-            rows = group[lo:lo + ENCODE_CHUNK]
-            text[rows] = model.text_encoder.encode_batch(pairs.token_seqs(rows))[0].data
-    image = [model.image_encoder.encode_batch(pairs.image[lo:lo + ENCODE_CHUNK]).data
-             for lo in range(0, len(pairs), ENCODE_CHUNK)]
-    return text, np.concatenate(image), pairs.identity
+    image = np.empty_like(text)
+
+    def encode_text(rows):
+        text[rows] = model.text_encoder.encode_batch(pairs.token_seqs(rows))[0].data
+
+    def encode_image(rows):
+        image[rows] = model.image_encoder.encode_batch(pairs.image[rows]).data
+
+    # longest captions first, images last, so the costliest chunks start first
+    units = [partial(encode_text, group[lo:lo + ENCODE_CHUNK])
+             for group in (np.flatnonzero(lengths == n) for n in np.unique(lengths)[::-1])
+             for lo in range(0, group.size, ENCODE_CHUNK)]
+    units += [partial(encode_image, slice(lo, lo + ENCODE_CHUNK))
+              for lo in range(0, len(pairs), ENCODE_CHUNK)]
+    _on_threads(lambda unit: unit(), units)
+    return text, image, pairs.identity
 
 
 def score_split(text: np.ndarray, image: np.ndarray, labels: np.ndarray,

@@ -164,6 +164,38 @@ def test_text_validation():
         enc.encode_batch([np.ones((2, 3), dtype=np.int64)])
 
 
+def test_non_integer_token_ids_are_refused():
+    # a float id is refused, never truncated: 5.7 is not token 5
+    enc = _text()
+    for batch in ([np.array([BOS_ID, 5.7, EOS_ID])],
+                  [_seq(5), np.array([BOS_ID, 5.0, EOS_ID])],
+                  [np.array([True, False])]):
+        with pytest.raises(T.ShapeError, match="token ids must be integers"):
+            enc.encode_batch(batch)
+
+
+def test_packing_pins_mask_and_first_eos_pooling():
+    enc = _text(seed=12)
+    n = enc.cfg.max_seq_len
+    rng = derive_rng(13, 93)
+    seqs = [_seq(*rng.integers(N_SPECIAL, 20, size=size - 2)) for size in range(2, n + 1)]
+    seqs.append(np.array([BOS_ID, 5, 9, 7], dtype=np.int64))               # no EOS
+    seqs.append(np.array([BOS_ID, 5, EOS_ID, 9, 7, EOS_ID], dtype=np.int64))  # early EOS
+    pooled, states, mask = enc.encode_batch(seqs)
+    sizes = np.array([s.size for s in seqs])
+    np.testing.assert_array_equal(mask, np.arange(n) < sizes[:, None])
+    at = [list(s).index(EOS_ID) if EOS_ID in s else s.size - 1 for s in seqs]
+    assert at[-2:] == [3, 2]
+    want = T.l2_normalize(T.take(states, np.arange(len(seqs)), np.array(at)))
+    assert np.array_equal(pooled.data, want.data)
+    for i, s in enumerate(seqs):
+        alone, _, _ = enc.encode_batch([s])
+        np.testing.assert_allclose(pooled.data[i], alone.data[0], rtol=0, atol=1e-12)
+    # narrower integer ids pack to the same batch
+    narrow, _, _ = enc.encode_batch([s.astype(np.int32) for s in seqs])
+    assert np.array_equal(narrow.data, pooled.data)
+
+
 def test_no_eos_sequence_still_pools():
     enc = _text()
     seq = np.array([BOS_ID, 5, 9], dtype=np.int64)

@@ -332,6 +332,40 @@ def test_encode_split_text_rows_are_each_caption_alone(monkeypatch):
     assert np.array_equal(encode_split(model, corpus, "test")[0], text)
 
 
+def test_encode_split_is_bitwise_on_any_thread_count(monkeypatch):
+    cfg = trend_protocol_config()
+    corpus = generate_corpus(cfg.corpus)
+    model = model_for_corpus(cfg.encoder, corpus, seed=cfg.seed)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    expect = encode_split(model, corpus, "test")
+    for cpus in (1, 3):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        got = encode_split(model, corpus, "test")
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b), cpus
+
+
+def test_encode_split_unit_failure_raises_and_ends_the_pool(monkeypatch):
+    # two image chunks fail; the earlier one's error comes out, as raised
+    model, corpus = _micro_setup()
+    monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 2)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 3)
+    image = corpus.test_pairs.image
+    encode = model.image_encoder.encode_batch
+
+    def failing(feats):
+        for lo in (2, 6):
+            if np.array_equal(feats, image[lo:lo + 2]):
+                raise FloatingPointError(f"image rows {lo}:{lo + 2} broke")
+        return encode(feats)
+
+    monkeypatch.setattr(model.image_encoder, "encode_batch", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="^image rows 2:4 broke$"):
+        encode_split(model, corpus, "test")
+    assert threading.active_count() == before
+
+
 def test_score_split_matches_per_metric_functions():
     model, corpus = _micro_setup()
     text, image, labels = encode_split(model, corpus, "test")
