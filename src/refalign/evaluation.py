@@ -1,17 +1,18 @@
 """Retrieval metrics and the end-to-end scoring pipeline.
 
 Rankings sort scores descending with ties broken by lower gallery index,
-which keeps every number bit-reproducible.  `ranking` gets that order
-from an unstable vectorised argsort per block of RANK_BLOCK query rows,
-then re-orders only the tied runs, so it returns exactly what a stable
-sort would at the unstable sort's speed.  Ties are not rare: duplicate
+which keeps every number bit-reproducible.  `ranking` value-sorts
+integer words that pack a score's order key with its gallery index, and
+returns exactly what a stable sort would.  Ties are not rare: duplicate
 captions encode to identical text features, so every i2t row holds tied
 gallery scores.  R@K and AP@N are percentages; mAP lives in [0, 1].
 
 Two stages run on threads, one per usable CPU (inline when there is one
 CPU or one unit of work): `encode_split`'s encoder chunks and `ranking`'s
-blocks.  Each unit writes only its own rows and numpy releases the GIL
-in their heavy calls, so results are bitwise those of one thread.
+blocks.  A process that shares its CPUs with others, as each ablation
+worker does, divides them first (share_cpus).  Each unit writes only its
+own rows and numpy releases the GIL in their heavy calls, so results are
+bitwise those of one thread.
 """
 from __future__ import annotations
 
@@ -28,9 +29,11 @@ from .data import Corpus
 DEFAULT_AP_N = 50
 # pairs per forward pass when encoding a split or masked captions
 ENCODE_CHUNK = 64
-# query rows per argsort in ranking; each ranking thread holds one block's
-# temporaries at a time, so small blocks keep the threads' peak memory low
-RANK_BLOCK = 128
+# query rows per sort in ranking: 32 rows of int64 words at a 4,000-item
+# gallery are 1 MB, which stays in cache through the block's passes
+RANK_BLOCK = 32
+# processes that run on this one's CPUs, itself included (share_cpus)
+_sharers = 1
 
 
 def usable_cpus() -> int:
@@ -41,11 +44,20 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def share_cpus(processes: int) -> None:
+    """Size this process's thread pools for `processes` processes on the
+    same CPUs: each gets max(1, usable CPUs // processes) threads.  The
+    ablation's pool runs it in every worker it starts."""
+    global _sharers
+    _sharers = processes
+
+
 def _on_threads(fn, units) -> list:
-    """[fn(u) for u in units] on min(len(units), usable CPUs) threads, or
-    inline when that is one.  Results are read in unit order, so the
-    first failing unit raises, and every pool thread has ended on return."""
-    threads = min(len(units), usable_cpus())
+    """[fn(u) for u in units] on min(len(units), this process's share of
+    the usable CPUs) threads, or inline when that is one.  Results are
+    read in unit order, so the first failing unit raises, and every pool
+    thread has ended on return."""
+    threads = min(len(units), max(1, usable_cpus() // _sharers))
     if threads <= 1:
         return [fn(u) for u in units]
     with ThreadPoolExecutor(threads) as pool:
@@ -55,39 +67,51 @@ def _on_threads(fn, units) -> list:
 def _rank_block(scores: np.ndarray, order: np.ndarray, lo: int) -> None:
     """Rank rows lo:lo + RANK_BLOCK of scores into the same rows of order.
 
-    The block gets the unstable vectorised argsort; then only the members
-    of tied runs (adjacent equal values in the sorted row, -0.0 == 0.0
-    included) are re-ordered by (run, gallery index) with one integer
-    sort.  Only numpy calls, which release the GIL, so blocks can run on
-    threads side by side.
+    A score's int64 bits hold a sign and a magnitude m; its key is -m for
+    a positive score and m for a negative one, so ascending keys are
+    descending scores and +-0.0 both key 0.  m loses its low ib bits,
+    enough to hold any gallery index, and the index goes there: one value
+    sort per row orders the words by (truncated key, index), and their
+    low bits are the ranking.  Truncation is monotone, so only different
+    scores that share a truncated key can come out of order; rows holding
+    such neighbours are re-ranked by the stable argsort.  Exact ties are
+    already in index order.  Only numpy calls, which release the GIL, so
+    blocks can run on threads side by side.
     """
-    ng = scores.shape[1]
-    neg = -scores[lo:lo + RANK_BLOCK]
-    # flat positions in the block, so one 1-d gather reads the sorted row
-    off = np.arange(0, neg.size, ng)[:, None]
-    idx = np.argsort(neg, axis=1)
-    idx += off
-    vals = np.take(neg, idx)
-    # -inf sorts first, +inf and NaN last, so the row ends show them all
-    finite = np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
+    block = scores[lo:lo + RANK_BLOCK]
+    ng = block.shape[1]
+    ib = max(1, (ng - 1).bit_length())
+    low = (1 << ib) - 1
+    bits = block.view(np.int64)
+    sign = bits >> 63
+    key = bits & np.int64(0x7FFF_FFFF_FFFF_FFFF & ~low)
+    key ^= sign
+    np.subtract(sign, key, out=key)
+    key |= np.arange(ng)
+    key.sort(axis=1)
+    rows = order[lo:lo + RANK_BLOCK]
+    np.bitwise_and(key, low, out=rows)
+    # m is truncated, not the signed key, so +inf and NaN still key below
+    # every finite score and -inf and -NaN above: the row ends show them all
+    ends = np.take_along_axis(block, rows[:, [0, -1]], axis=1)
+    finite = np.isfinite(ends).all(axis=1)
     if not finite.all():
         raise ValueError(f"ranking: query row {lo + int(np.argmin(finite))} "
                          f"holds a non-finite score")
-    tie = vals[:, 1:] == vals[:, :-1]
-    if tie.any():
-        member = np.zeros(idx.shape, dtype=bool)
-        member[:, 1:] = tie
-        member[:, :-1] |= tie
-        opens = member.copy()
-        opens[:, 1:] &= ~tie
-        pos = np.flatnonzero(member)
-        # runs sit in position order and each lies in one row, so sorting
-        # (run, flat position) keys puts every run's members back on its
-        # own positions, lowest gallery index first
-        run = np.cumsum(np.take(opens, pos))
-        key = np.sort(run * neg.size + np.take(idx, pos))
-        np.put(idx, pos, key - run * neg.size)
-    np.subtract(idx, off, out=order[lo:lo + RANK_BLOCK])
+    key >>= ib
+    # neighbours sharing a truncated key; compare their scores through
+    # flat positions in the block
+    pos = np.flatnonzero(key[:, 1:] == key[:, :-1])
+    if pos.size:
+        row = pos // (ng - 1)
+        pos += row
+        left, right = np.take(rows, pos), np.take(rows, pos + 1)
+        row *= ng  # the flat position of the row's first score
+        left += row
+        right += row
+        redo = np.unique(row[np.take(block, left) != np.take(block, right)]) // ng
+        if redo.size:
+            rows[redo] = np.argsort(-block[redo], axis=1, kind="stable")
 
 
 def ranking(scores: np.ndarray) -> np.ndarray:
@@ -95,10 +119,10 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     order, exactly as np.argsort(-scores, axis=1, kind="stable") orders
     them.
 
-    Blocks of RANK_BLOCK rows are ranked by _rank_block on min(blocks,
-    usable CPUs) threads, or inline when that is one.  Non-finite scores
-    are refused, naming the first bad row, since the tie repair keys on
-    == and NaN equals nothing.
+    Blocks of RANK_BLOCK rows are ranked by _rank_block through
+    _on_threads.  The scores are read, never written.  Non-finite scores
+    are refused, naming the first bad row, since they have no place in a
+    ranking.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:

@@ -4,7 +4,7 @@ Every run is a pure function of (config, seed): batch composition, mask
 placement, and initialization all derive from the run seed and the
 global step, so reruns and checkpoint resumes retrace the same
 trajectory bit for bit.  Ablation jobs run on spawned workers, one per
-usable CPU, each on one BLAS thread.
+usable CPU, each on one BLAS thread and its share of the CPUs' threads.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .config import (RunConfig, VARIANT_ORDER, W_SWEEP_GRID, config_as_dict,
                      config_from_dict)
 from .data import (Corpus, PairBatch, STREAM_MASK, derive_rng, generate_corpus,
                    sample_batch)
-from .evaluation import ENCODE_CHUNK, encode_split, score_split, usable_cpus
+from .evaluation import ENCODE_CHUNK, encode_split, score_split, share_cpus, usable_cpus
 from .losses import align_loss, fuse_loss, guide_loss, rec_loss, total_loss
 from .model import RetrievalModel, load_checkpoint, model_for_corpus, save_checkpoint
 from .reference import mask_tokens
@@ -354,7 +354,8 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     before any worker starts.
 
     Each (seed, variant) job runs _plan_job in a spawned worker process,
-    with up to one worker per usable CPU; the longest jobs go first.  A
+    with up to one worker per usable CPU, and each worker's thread pools
+    get its share of the CPUs (share_cpus); the longest jobs go first.  A
     job's log lines, in epoch order, are logged when the job finishes.
     A failed job raises here, naming its run_id, and cancels the jobs
     not yet started.  Spawn re-imports the caller's main module, so a
@@ -377,8 +378,9 @@ def _run_plan(base: RunConfig, seeds, corpus: Corpus | None, plan: dict, log) ->
     # longest first (reconstruction, then guidance), so no long job starts last
     jobs.sort(key=lambda job: (not job[1].reconstructs, not job[1].guided))
     rows: dict = {}
-    pool = ProcessPoolExecutor(min(len(jobs), usable_cpus()),
-                               mp_context=multiprocessing.get_context("spawn"))
+    workers = min(len(jobs), usable_cpus())
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=share_cpus, initargs=(workers,))
     try:
         futures = {pool.submit(_plan_job, cfg, corpus, ws): (k, cfg) for k, cfg, ws in jobs}
         for future in as_completed(futures):

@@ -91,6 +91,18 @@ def test_tied_scores_prefer_lower_gallery_index():
     assert mean_average_precision(scores, relevance) == (0.25 + 1.0) / 2
 
 
+def _near_tie_pool(rng):
+    """Scores whose bits differ only in the low 12: each base's pair
+    (bits & ~0xFFF) | 1 and | 5 shares a truncated key on any gallery
+    wider than 4, yet the two are different floats.  Bases are positive,
+    negative and +-0.0, whose pairs are the smallest subnormals."""
+    bases = np.concatenate([rng.normal(size=4), -rng.normal(size=4) ** 2, [0.0, -0.0]])
+    bits = bases.view(np.int64) & ~0xFFF
+    pairs = np.concatenate([bits | 1, bits | 5]).view(np.float64)
+    assert len(np.unique(pairs)) == len(pairs)
+    return np.concatenate([bases, pairs])
+
+
 def _tie_heavy_cases():
     rng = derive_rng(36, 98)
     cases = {f"rounded to {d} decimals": np.round(rng.normal(size=(40, 30)), d)
@@ -103,13 +115,18 @@ def _tie_heavy_cases():
     cases["0.0 mixed with -0.0"] = signed
     cases["one column"] = rng.normal(size=(7, 1))
     cases["one row"] = np.round(rng.normal(size=(1, 60)), 1)
-    # one, two and three blocks, the last one short, full or a single row
-    for n in (RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1,
-              2 * RANK_BLOCK - 1, 2 * RANK_BLOCK, 2 * RANK_BLOCK + 1):
+    # several blocks, the last one short, full or a single row
+    assert 128 % RANK_BLOCK == 0
+    for n in (127, 128, 129, 255, 256, 257):
         cases[f"{n} rows"] = np.round(rng.normal(size=(n, 25)), 1)
     cases["float32"] = np.round(rng.normal(size=(30, 40)), 1).astype(np.float32)
     cases["integer"] = rng.integers(-3, 4, size=(30, 40))
     cases["transposed"] = np.round(rng.normal(size=(40, RANK_BLOCK + 3)), 1).T
+    # gallery widths 1, 2, 2^k and 2^k + 1 move the index bits; drawing
+    # with replacement puts exact ties and near ties in the same rows
+    pool = _near_tie_pool(rng)
+    for ng in (1, 2, 3, 4, 5, 8, 9, 64, 65, 4096, 4097):
+        cases[f"near ties, {ng} wide"] = rng.choice(pool, size=(RANK_BLOCK + 3, ng))
     return cases
 
 
@@ -147,15 +164,46 @@ def test_ranking_equals_stable_argsort_on_corpus_i2t(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_ranking_repairs_only_rows_with_near_ties(monkeypatch):
+    # row 0 holds exact ties only, row 1 a near-tie pair next to +-0.0 and
+    # row 3 one of positive scores; only rows 1 and 3 take the stable argsort
+    tiny = np.array([1, 5], dtype=np.int64).view(np.float64)
+    near = np.array([0x3FE0_0000_0000_0001, 0x3FE0_0000_0000_0005]).view(np.float64)
+    scores = np.zeros((4, 6))
+    scores[0] = [0.5, -0.0, 0.5, 0.0, -0.25, 0.5]
+    scores[1] = [0.0, tiny[1], -0.0, tiny[0], -tiny[1], 0.0]
+    scores[2] = [0.5, 0.25, 0.125, 0.0, -0.5, 0.5]
+    scores[3] = [near[0], 0.25, near[1], near[0], 0.0, near[1]]
+    argsort = np.argsort
+    expect = argsort(-scores, axis=1, kind="stable")
+    redone = []
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, **kw: redone.append(a.tolist()) or argsort(a, **kw))
+    assert np.array_equal(ranking(scores), expect)
+    assert redone == [(-scores[[1, 3]]).tolist()]
+
+
 def test_ranking_refuses_non_finite_scores():
-    for bad in (np.nan, np.inf, -np.inf):
+    biggest = np.finfo(np.float64).max
+    for bad in (np.nan, np.copysign(np.nan, -1), np.inf, -np.inf,
+                np.array([0x7FF0_0000_0000_0001]).view(np.float64)[0]):
         for row in (0, RANK_BLOCK - 1, RANK_BLOCK + 2):
             scores = np.zeros((3 * RANK_BLOCK + 5, 6))
-            scores[row, 3] = bad
+            # mid-row, between finite ends and beside the largest floats
+            scores[row, 1:5] = [biggest, bad, -biggest, 1.0]
             # a later bad row, in a later block, is not the one named
             scores[-1, 0] = np.nan
             with pytest.raises(ValueError, match=f"query row {row} holds a non-finite"):
                 ranking(scores)
+
+
+def test_ranking_reads_a_read_only_matrix_without_writing_it():
+    scores = np.round(derive_rng(40, 98).normal(size=(RANK_BLOCK + 5, 30)), 1)
+    scores[:, 3] = -0.0
+    scores.flags.writeable = False
+    bits = scores.view(np.int64).copy()
+    assert np.array_equal(ranking(scores), np.argsort(-scores, axis=1, kind="stable"))
+    assert np.array_equal(scores.view(np.int64), bits)
 
 
 def test_ranking_leaves_no_thread_behind():
@@ -170,16 +218,21 @@ def test_ranking_leaves_no_thread_behind():
 
 
 def test_ranking_threads_follow_blocks_and_cpus(monkeypatch):
-    # min(blocks, usable CPUs) threads, and inline when that is one: a
-    # pool costs more than one block's sort
+    # min(blocks, this process's share of the usable CPUs) threads, and
+    # inline when that is one: a pool costs more than one block's sort.
+    # Of n processes on the same CPUs, each gets max(1, CPUs // n).
     scores = np.round(derive_rng(38, 98).normal(size=(3 * RANK_BLOCK, 20)), 1)
     one = scores[:RANK_BLOCK // 2]
     pools = []
     pool = evaluation.ThreadPoolExecutor
     monkeypatch.setattr(evaluation, "ThreadPoolExecutor",
                         lambda n: pools.append(n) or pool(n))
-    for cpus, matrix, opened in ((2, scores, [2]), (2, one, []), (1, scores, [])):
+    monkeypatch.setattr(evaluation, "_sharers", 1)
+    for cpus, processes, matrix, opened in (
+            (2, 1, scores, [2]), (2, 1, one, []), (1, 1, scores, []), (4, 2, scores, [2]),
+            (8, 3, scores, [2]), (3, 2, scores, []), (2, 2, scores, []), (1, 2, scores, [])):
         monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        evaluation.share_cpus(processes)
         pools.clear()
         assert np.array_equal(ranking(matrix), np.argsort(-matrix, axis=1, kind="stable"))
         assert pools == opened

@@ -17,6 +17,7 @@ from refalign.encoders import EncoderConfig
 from refalign.evaluation import score_split
 from refalign.model import model_for_corpus, read_checkpoint, save_checkpoint
 from refalign.tensor import Adam, NumericsError, ScheduleConfig
+import refalign.evaluation
 import refalign.train
 from refalign.train import (METRIC_COLUMNS, REPORT_KEYS, ablate, format_ablation_table,
                             masked_eval, train, train_step, write_ablation_report)
@@ -533,6 +534,60 @@ def test_ablation_refuses_bad_inputs_before_training(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=match):
             ablate(cfg, **{"seeds": (0,), **kw})
     assert pools == []
+
+
+def _encode_and_rank(cfg, pools: list):
+    """cfg's test features and their t2i ranking, with the size of each
+    thread pool they open appended to pools."""
+    evaluation = refalign.evaluation
+    pool = evaluation.ThreadPoolExecutor
+    evaluation.ThreadPoolExecutor = lambda n: pools.append(n) or pool(n)
+    try:
+        corpus = generate_corpus(cfg.corpus)
+        model = model_for_corpus(cfg.encoder, corpus, cfg.seed)
+        text, image, _ = evaluation.encode_split(model, corpus, "test")
+        return text, image, evaluation.ranking(text @ image.T)
+    finally:
+        evaluation.ThreadPoolExecutor = pool
+
+
+def _in_a_worker_on_two_cpus(cfg):
+    refalign.evaluation.usable_cpus = lambda: 2
+    pools = []
+    return pools, _encode_and_rank(cfg, pools)
+
+
+class _NoPool(Exception):
+    pass
+
+
+def test_ablation_workers_split_the_cpus(tmp_path, monkeypatch):
+    # on 2 CPUs the ablation starts 2 workers, and each one encodes and
+    # ranks inline instead of on 2 threads, bitwise as 2 threads do
+    cfg = _cfg(tmp_path, corpus=replace(_CC, n_test_identities=40))
+    made = []
+
+    def no_pool(*args, **kwargs):
+        made.append((args, kwargs))
+        raise _NoPool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(refalign.train, "usable_cpus", lambda: 2)
+    with pytest.raises(_NoPool):
+        ablate(cfg, seeds=(0,))
+    monkeypatch.undo()
+    (args, kwargs), = made
+    assert args == (2,)
+    with concurrent.futures.ProcessPoolExecutor(*args, **kwargs) as pool:
+        pools, got = pool.submit(_in_a_worker_on_two_cpus, cfg).result()
+    assert pools == []
+    monkeypatch.setattr(refalign.evaluation, "usable_cpus", lambda: 2)
+    pools = []
+    expect = _encode_and_rank(cfg, pools)
+    # the encode's chunks and the ranking's blocks each open a pool here
+    assert pools == [2, 2]
+    for a, b in zip(got, expect):
+        assert np.array_equal(a, b)
 
 
 class _RecordingAdam(Adam):
