@@ -7,12 +7,18 @@ returns exactly what a stable sort would.  Ties are not rare: duplicate
 captions encode to identical text features, so every i2t row holds tied
 gallery scores.  R@K and AP@N are percentages; mAP lives in [0, 1].
 
+`score_split` makes one pass over blocks of query rows: each block is
+ranked, and its hit ranks are read while it is in cache, so no n x n
+relevance matrix is built.  Every metric is a count or a sum over the
+per-query first hit ranks, average precisions and top-n hit counts, and
+the public metric functions derive them through the same helper.
+
 Two stages run on threads, one per usable CPU (inline when there is one
-CPU or one unit of work): `encode_split`'s encoder chunks and `ranking`'s
-blocks.  A process that shares its CPUs with others, as each ablation
-worker does, divides them first (share_cpus).  Each unit writes only its
-own rows and numpy releases the GIL in their heavy calls, so results are
-bitwise those of one thread.
+CPU or one unit of work): `encode_split`'s encoder chunks and the blocks
+of `ranking` and `score_split`.  A process that shares its CPUs with
+others, as each ablation worker does, divides them first (share_cpus).
+Each unit writes only its own rows and numpy releases the GIL in their
+heavy calls, so results are bitwise those of one thread.
 """
 from __future__ import annotations
 
@@ -29,8 +35,9 @@ from .data import Corpus
 DEFAULT_AP_N = 50
 # pairs per forward pass when encoding a split or masked captions
 ENCODE_CHUNK = 64
-# query rows per sort in ranking: 32 rows of int64 words at a 4,000-item
-# gallery are 1 MB, which stays in cache through the block's passes
+# query rows per unit of ranking and score_split: 32 rows of int64 words
+# at a 4,000-item gallery are 1 MB, which stays in cache through the
+# block's sort and, in score_split, the reading of its hit ranks
 RANK_BLOCK = 32
 # processes that run on this one's CPUs, itself included (share_cpus)
 _sharers = 1
@@ -114,7 +121,7 @@ def _rank_block(scores: np.ndarray, order: np.ndarray, lo: int) -> None:
             rows[redo] = np.argsort(-block[redo], axis=1, kind="stable")
 
 
-def ranking(scores: np.ndarray) -> np.ndarray:
+def ranking(scores: np.ndarray, then=None) -> np.ndarray:
     """Per-query gallery permutation, best first; equal scores keep index
     order, exactly as np.argsort(-scores, axis=1, kind="stable") orders
     them.
@@ -122,86 +129,107 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     Blocks of RANK_BLOCK rows are ranked by _rank_block through
     _on_threads.  The scores are read, never written.  Non-finite scores
     are refused, naming the first bad row, since they have no place in a
-    ranking.
+    ranking.  With then, each unit calls then(lo, the block's rows of the
+    order) on its own thread once the block is ranked, while those rows
+    are still in cache.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ValueError(f"ranking: need a non-empty score matrix, got shape {scores.shape}")
     order = np.empty(scores.shape, dtype=np.intp)
-    _on_threads(lambda lo: _rank_block(scores, order, lo),
-                range(0, scores.shape[0], RANK_BLOCK))
+
+    def unit(lo):
+        _rank_block(scores, order, lo)
+        if then is not None:
+            then(lo, order[lo:lo + RANK_BLOCK])
+
+    _on_threads(unit, range(0, scores.shape[0], RANK_BLOCK))
     return order
 
 
-def _check_relevance(order: np.ndarray, relevance: np.ndarray) -> np.ndarray:
+def _ranked_hits(scores: np.ndarray, relevance: np.ndarray) -> np.ndarray:
+    order = ranking(scores)
     relevance = np.asarray(relevance, dtype=bool)
     if relevance.shape != order.shape:
         raise ValueError(f"metrics: relevance shape {relevance.shape} != scores {order.shape}")
     missing = np.flatnonzero(~relevance.any(axis=1))
     if missing.size:
         raise ValueError(f"metrics: query {int(missing[0])} has no relevant gallery item")
-    return relevance
+    return np.take_along_axis(relevance, order, axis=1)
 
 
-# The metrics below read a ranking(scores) order, so one sort serves them
-# all; sums run per query and then across queries, as the oracles do.
+def _run_sums(values: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """np.sum of each run of values, run i holding the next count[i].  Runs
+    of equal length are summed as rows of one matrix, which numpy reduces
+    as it reduces each run alone: bitwise a 1-D np.sum per run."""
+    start = np.cumsum(count) - count
+    sums = np.zeros(count.size)
+    for c in np.unique(count[count > 0]):
+        runs = np.flatnonzero(count == c)
+        sums[runs] = values[start[runs, None] + np.arange(c)].sum(axis=1)
+    return sums
 
-def _recall_at_k(order: np.ndarray, relevance: np.ndarray, k: int) -> float:
+
+def _hit_ranks(hits: np.ndarray, n: int):
+    """-> (first_hit, ap, top) per row of hits, whose row q marks query
+    q's relevant items in ranked order: the first hit's rank (the gallery
+    size if none), the average precision (0 if none) and the hits in
+    the top n.  Sums run per query in rank order, as the oracles do."""
+    rows, ng = hits.shape
+    row, rank = np.divmod(np.flatnonzero(hits), ng)
+    count = np.bincount(row, minlength=rows)
+    start = np.cumsum(count) - count
+    first_hit = np.full(rows, ng, dtype=np.int64)
+    first_hit[count > 0] = rank[start[count > 0]]
+    found = np.arange(1, row.size + 1) - np.repeat(start, count)
+    ap = _run_sums(found / (rank + 1.0), count) / np.maximum(count, 1)
+    return first_hit, ap, np.bincount(row[rank < n], minlength=rows)
+
+
+def _recall(first_hit: np.ndarray, k: int) -> float:
     if k < 1:
         raise ValueError(f"rank_at_k: k must be >= 1, got {k}")
-    relevance = _check_relevance(order, relevance)
-    hits = np.take_along_axis(relevance, order[:, :k], axis=1).any(axis=1)
-    return float(hits.sum()) / hits.size * 100.0
+    return float((first_hit < k).sum()) / first_hit.size * 100.0
 
 
-def _mean_ap(order: np.ndarray, relevance: np.ndarray) -> float:
-    relevance = _check_relevance(order, relevance)
-    aps = []
-    for q in range(order.shape[0]):
-        rel_sorted = relevance[q, order[q]]
-        hit_ranks = np.flatnonzero(rel_sorted)
-        precisions = np.arange(1, hit_ranks.size + 1, dtype=np.float64) / (hit_ranks + 1.0)
-        aps.append(float(np.sum(precisions)) / hit_ranks.size)
-    return float(np.sum(np.asarray(aps))) / len(aps)
-
-
-def _ap_n(order: np.ndarray, query_classes, gallery_classes, n: int) -> float:
-    query_classes = np.asarray(query_classes)
-    gallery_classes = np.asarray(gallery_classes)
-    if query_classes.shape != (order.shape[0],) or gallery_classes.shape != (order.shape[1],):
-        raise ValueError(f"ap_at_n: shapes {order.shape} / {query_classes.shape} / "
-                         f"{gallery_classes.shape} do not line up")
-    if n < 1 or n > order.shape[1]:
-        raise ValueError(f"ap_at_n: n={n} invalid for a gallery of {order.shape[1]}")
-    top = gallery_classes[order[:, :n]]
-    frac = (top == query_classes[:, None]).sum(axis=1).astype(np.float64) / n
-    class_means = []
-    for c in np.unique(query_classes):
-        members = frac[query_classes == c]
-        class_means.append(float(np.sum(members)) / members.size)
-    return float(np.sum(np.asarray(class_means))) / len(class_means) * 100.0
+def _ap_n(top: np.ndarray, query_classes: np.ndarray, n: int, ng: int) -> float:
+    if n < 1 or n > ng:
+        raise ValueError(f"ap_at_n: n={n} invalid for a gallery of {ng}")
+    classes, cls = np.unique(query_classes, return_inverse=True)
+    members = np.bincount(cls)
+    means = _run_sums(top[np.argsort(cls, kind="stable")] / n, members) / members
+    return float(np.sum(means)) / classes.size * 100.0
 
 
 def rank_at_k(scores: np.ndarray, relevance: np.ndarray, k: int) -> float:
     """Percent of queries with a relevant item somewhere in the top k."""
-    return _recall_at_k(ranking(scores), relevance, k)
+    return _recall(_hit_ranks(_ranked_hits(scores, relevance), 0)[0], k)
 
 
 def mean_average_precision(scores: np.ndarray, relevance: np.ndarray) -> float:
     """Mean over queries of average precision over all relevant items."""
-    return _mean_ap(ranking(scores), relevance)
+    ap = _hit_ranks(_ranked_hits(scores, relevance), 0)[1]
+    return float(np.sum(ap)) / ap.size
 
 
 def ap_at_n(scores: np.ndarray, query_classes, gallery_classes, n: int) -> float:
     """Fraction of top-n sharing the query's class, averaged per class and
     then across classes, as a percentage."""
-    return _ap_n(ranking(scores), query_classes, gallery_classes, n)
+    order = ranking(scores)
+    query_classes = np.asarray(query_classes)
+    gallery_classes = np.asarray(gallery_classes)
+    if query_classes.shape != (order.shape[0],) or gallery_classes.shape != (order.shape[1],):
+        raise ValueError(f"ap_at_n: shapes {order.shape} / {query_classes.shape} / "
+                         f"{gallery_classes.shape} do not line up")
+    hits = np.take_along_axis(query_classes[:, None] == gallery_classes, order, axis=1)
+    return _ap_n(_hit_ranks(hits, n)[2], query_classes, n, order.shape[1])
 
 
 @dataclass
 class RetrievalResult:
     rankings: np.ndarray   # (nq, ng) gallery permutations
     metrics: dict[str, float]
+    per_query: dict[str, np.ndarray]   # "first_hit" (int64) and "ap", in query order
 
 
 def encode_split(model, corpus: Corpus, split: str):
@@ -241,10 +269,12 @@ def score_split(text: np.ndarray, image: np.ndarray, labels: np.ndarray,
                 bank: np.ndarray, direction: str = "t2i", use_refine: bool = False,
                 w: float = 0.5, ap_n: int | None = None) -> RetrievalResult:
     """Score encoded features in one direction and aggregate every metric
-    from a single ranking of the score matrix.
+    from one pass over RANK_BLOCK-row blocks of the score matrix.
 
     t2i ranks images by text queries; i2t transposes.  With use_refine,
     scores become base + w * reference-space cosine through the bank.
+    ranking ranks each block and, while the block is still in cache,
+    read_hits reads its labels in rank order, as dense int32 ids.
     """
     if direction not in ("t2i", "i2t"):
         raise ValueError(f"score_split: direction {direction!r}")
@@ -253,17 +283,24 @@ def score_split(text: np.ndarray, image: np.ndarray, labels: np.ndarray,
         scores = refinement.refined_scores(queries, gallery, bank, w)
     else:
         scores = refinement.cosine_scores(queries, gallery)
-    order = ranking(scores)
-    relevance = labels[:, None] == labels[None, :]
-    n = min(DEFAULT_AP_N, order.shape[1]) if ap_n is None else ap_n
-    metrics = {
-        "R@1": _recall_at_k(order, relevance, 1),
-        "R@5": _recall_at_k(order, relevance, 5),
-        "R@10": _recall_at_k(order, relevance, 10),
-        "mAP": _mean_ap(order, relevance),
-        f"AP@{n}": _ap_n(order, labels, labels, n),
-    }
-    return RetrievalResult(rankings=order, metrics=metrics)
+    labels = np.asarray(labels)
+    nq, ng = scores.shape
+    if labels.shape != (nq,) or ng != nq:
+        raise ValueError(f"score_split: labels of shape {labels.shape} do not label "
+                         f"a {nq} x {ng} score matrix")
+    n = min(DEFAULT_AP_N, ng) if ap_n is None else ap_n
+    cls = np.unique(labels, return_inverse=True)[1].astype(np.int32)
+    first_hit, ap, top = np.empty(nq, dtype=np.int64), np.empty(nq), np.empty(nq, dtype=np.int64)
+
+    def read_hits(lo, ranked):
+        rows = slice(lo, lo + RANK_BLOCK)
+        first_hit[rows], ap[rows], top[rows] = _hit_ranks(np.take(cls, ranked) == cls[rows, None], n)
+
+    order = ranking(scores, read_hits)
+    metrics = {f"R@{k}": _recall(first_hit, k) for k in (1, 5, 10)}
+    metrics["mAP"] = float(np.sum(ap)) / nq
+    metrics[f"AP@{n}"] = _ap_n(top, labels, n, ng)
+    return RetrievalResult(order, metrics, {"first_hit": first_hit, "ap": ap})
 
 
 def run_retrieval(model, corpus: Corpus, split: str = "test",

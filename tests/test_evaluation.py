@@ -442,3 +442,104 @@ def test_score_split_matches_per_metric_functions():
             assert again.metrics == res.metrics
     with pytest.raises(ValueError, match="n=9"):
         score_split(text, image, labels, bank, ap_n=9)
+
+
+# ------------------------------------------------------ the block pass
+
+def _class_split(sizes=(1, 2, 7, 8, 9, 130), d=6, seed=0):
+    """Features and shuffled labels for classes of the given sizes: the
+    AP sums take numpy's sequential path (under 8 hits), its unrolled one
+    and, past 128 hits, its pairwise split.  Some captions repeat, so
+    i2t rows hold exact ties."""
+    rng = derive_rng(41, 98, seed)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)) * 3 + 5, sizes))
+    text = np.round(rng.normal(size=(labels.size, d)), 1)
+    text[1::5] = text[::5][:text[1::5].shape[0]]
+    image = rng.normal(size=(labels.size, d))
+    return text, image, labels, rng.normal(size=(4, d))
+
+
+def test_score_split_block_pass_equals_public_metrics_and_oracles():
+    text, image, labels, bank = _class_split()
+    assert labels.size % RANK_BLOCK != 0
+    relevance = labels[:, None] == labels[None, :]
+    for direction in ("t2i", "i2t"):
+        queries, gallery = (text, image) if direction == "t2i" else (image, text)
+        for refined in (False, True):
+            scores = (refinement.refined_scores(queries, gallery, bank, 0.5) if refined
+                      else refinement.cosine_scores(queries, gallery))
+            res = score_split(text, image, labels, bank, direction, refined, 0.5, ap_n=20)
+            assert np.array_equal(res.rankings, ranking(scores))
+            public = {f"R@{k}": rank_at_k(scores, relevance, k) for k in (1, 5, 10)}
+            public["mAP"] = mean_average_precision(scores, relevance)
+            public["AP@20"] = ap_at_n(scores, labels, labels, 20)
+            assert res.metrics == public
+            oracle = {f"R@{k}": _oracle_rank_at_k(scores, relevance, k) for k in (1, 5, 10)}
+            oracle["mAP"] = _oracle_map(scores, relevance)
+            oracle["AP@20"] = _oracle_ap_at_n(scores, labels, labels, 20)
+            assert res.metrics == oracle, (direction, refined)
+
+
+def test_per_query_recomputes_recall_and_map():
+    text, image, labels, bank = _class_split(seed=1)
+    for direction in ("t2i", "i2t"):
+        res = score_split(text, image, labels, bank, direction)
+        first_hit, ap = res.per_query["first_hit"], res.per_query["ap"]
+        assert first_hit.dtype == np.int64 and ap.dtype == np.float64
+        assert first_hit.shape == ap.shape == labels.shape
+        for k in (1, 5, 10):
+            assert float((first_hit < k).sum()) / labels.size * 100.0 == res.metrics[f"R@{k}"]
+        assert float(np.sum(ap)) / ap.size == res.metrics["mAP"]
+        # query q's own row: its first hit is where its first same-label
+        # item ranks, and its AP is the oracle's for that one row
+        for q in (0, labels.size // 2, labels.size - 1):
+            ranked = labels[res.rankings[q]] == labels[q]
+            assert first_hit[q] == np.flatnonzero(ranked)[0]
+            scores = refinement.cosine_scores(*((text, image) if direction == "t2i"
+                                                else (image, text)))[q:q + 1]
+            assert ap[q] == _oracle_map(scores, (labels[None, :] == labels[q]))
+
+
+def test_score_split_is_bitwise_on_any_thread_count(monkeypatch):
+    # inline (two CPUs shared by two processes), two threads, and more
+    # threads than cores switching often; each block writes its own rows
+    text, image, labels, bank = _class_split(sizes=(3, 8, 9, 130, 40), seed=2)
+    monkeypatch.setattr(evaluation, "_sharers", 1)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus, processes in ((2, 2), (2, 1), (8, 1)):
+            monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+            evaluation.share_cpus(processes)
+            runs.append(score_split(text, image, labels, bank, "i2t", True, 0.3))
+    finally:
+        sys.setswitchinterval(interval)
+    for res in runs[1:]:
+        assert np.array_equal(res.rankings, runs[0].rankings)
+        assert res.metrics == runs[0].metrics
+        for key, values in runs[0].per_query.items():
+            assert np.array_equal(res.per_query[key], values), key
+
+
+def test_score_split_refuses_a_non_finite_score_by_row(monkeypatch):
+    text, image, labels, bank = _class_split(seed=3)
+    text[RANK_BLOCK + 2, 1] = np.nan
+    text[-1, 0] = np.nan           # a later bad row, in a later block
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    for refined in (False, True):
+        with pytest.raises(ValueError, match=f"query row {RANK_BLOCK + 2} holds a non-finite"):
+            score_split(text, image, labels, bank, "t2i", refined)
+        assert threading.active_count() == before
+
+
+def test_score_split_refuses_labels_that_do_not_match():
+    text, image, labels, bank = _class_split(seed=4)
+    for args in ((text, image, labels[:-1]), (text[:-1], image, labels),
+                 (text, image, labels[:, None])):
+        with pytest.raises(ValueError, match="score_split: labels of shape"):
+            score_split(*args, bank)
+    # an empty split is refused as ranking refuses an empty matrix
+    with pytest.raises(ValueError, match="need a non-empty score matrix, got shape"):
+        score_split(text[:0], image[:0], labels[:0], bank)

@@ -8,9 +8,10 @@ import pytest
 
 import refalign
 from refalign import refinement
+from refalign.config import W_SWEEP_GRID
 from refalign.data import derive_rng
 from refalign.evaluation import ranking
-from refalign.refinement import (cosine_scores, fuse_scores,
+from refalign.refinement import (ROW_BLOCK, cosine_scores, fuse_scores,
                                  reference_similarity, refined_scores)
 
 
@@ -77,7 +78,7 @@ def test_reference_products_run_on_one_blas_thread(monkeypatch):
         pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread setter")
     get_threads = threads[0]
     seen = []
-    qr, cosine = np.linalg.qr, refinement.cosine_scores
+    qr, normalise = np.linalg.qr, refinement._normalise
     q, g, bank = _unit_rows(7, 16, seed=3), _unit_rows(9, 16, seed=4), _orthonormal(16)
 
     def spy(fn, name):
@@ -87,15 +88,15 @@ def test_reference_products_run_on_one_blas_thread(monkeypatch):
         return call
 
     monkeypatch.setattr(np.linalg, "qr", spy(qr, "qr"))
-    monkeypatch.setattr(refinement, "cosine_scores", spy(cosine, "cosine"))
+    monkeypatch.setattr(refinement, "_normalise", spy(normalise, "normalise"))
     reference_similarity(q, g, bank)
-    assert seen == [("qr", 1), ("cosine", 1)] and get_threads() == 1
+    assert seen == [("qr", 1), ("normalise", 1)] and get_threads() == 1
     with pytest.raises(ValueError, match="do not pair"):
         reference_similarity(q, g, np.ones((3, 5)))
     assert get_threads() == 1
     with pytest.raises(ValueError, match="row 0"):
         reference_similarity(np.eye(16)[:2], g, np.eye(16)[2:])
-    assert seen[-1] == ("cosine", 1) and get_threads() == 1
+    assert seen[-1] == ("normalise", 1) and get_threads() == 1
 
 
 def test_fusion_arithmetic():
@@ -165,3 +166,38 @@ def test_refined_equals_manual_fusion():
     for before, after in zip(kept, (q, g, bank)):
         assert np.array_equal(before, after)
 
+
+
+def test_blockwise_rerank_equals_fusion_at_every_size():
+    # the reference cosine is added ROW_BLOCK rows at a time, never built
+    # whole; every w of the sweep, a single row, one block either side of
+    # a block edge and a gallery as wide as the split or narrower
+    bank = derive_rng(55, 96, 12).normal(size=(40, 16))
+    for n, ng in ((1, 1), (2 * ROW_BLOCK - 1,) * 2, (2 * ROW_BLOCK,) * 2,
+                  (2 * ROW_BLOCK + 1,) * 2, (1000, 1000), (2 * ROW_BLOCK + 1, 7)):
+        q, g = derive_rng(55, 99, n).normal(size=(n, 16)), _unit_rows(ng, 16, seed=ng)
+        base, ref = cosine_scores(q, g), reference_similarity(q, g, bank)
+        for w in W_SWEEP_GRID:
+            assert np.array_equal(refined_scores(q, g, bank, w), fuse_scores(base, ref, w)), (n, w)
+
+
+def test_refined_scores_keeps_every_refusal():
+    q, g, bank = _unit_rows(3, 4, seed=13), _unit_rows(5, 4, seed=14), np.eye(4)
+    orthogonal = np.eye(4)[2:]
+    base = (
+        ((q, _unit_rows(5, 3), bank), r"^cosine: shapes \(3, 4\) / \(5, 3\) do not pair$"),
+        ((q[0], g, bank), r"^cosine: shapes \(4,\) / \(5, 4\) do not pair$"),
+        ((np.zeros((2, 4)), g, bank), r"^cosine: zero-norm row 0 on the left "),
+        ((q, np.vstack([g, np.zeros(4)]), bank), r"^cosine: zero-norm row 5 on the right$"))
+    reference = (
+        ((q, g, np.ones((2, 3))), r"^reference: shapes \(3, 4\) / \(5, 4\) / \(2, 3\) do not pair$"),
+        ((q, g, np.ones(4)), r"^reference: shapes .* do not pair$"),
+        ((np.eye(4)[[2, 0]], g, orthogonal),
+         r"^cosine: zero-norm row 1 on the left \(projected feature orthogonal"),
+        ((q, np.eye(4)[[2, 3, 1]], orthogonal), r"^cosine: zero-norm row 2 on the right$"))
+    for args, message in base + reference:
+        with pytest.raises(ValueError, match=message):
+            refined_scores(*args, 0.5)
+    for args, message in reference:
+        with pytest.raises(ValueError, match=message):
+            reference_similarity(*args)
